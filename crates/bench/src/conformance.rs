@@ -825,20 +825,11 @@ pub fn run_conformance(abbr: &str, scheme: SchemeId, budget: u64) -> Conformance
     run_conformance_sharded(abbr, scheme, budget, Shard::full())
 }
 
-/// [`run_conformance`] for a workload value that need not be in the
-/// registry. The workload's `abbr` must be `'static` (fuzz-generated
+/// [`run_conformance_static`] for a workload value that need not be in
+/// the registry. The workload's `abbr` must be `'static` (fuzz-generated
 /// workloads leak their names, which is bounded by the iteration
-/// count).
-pub fn run_conformance_for(
-    workload: &Workload,
-    scheme: SchemeId,
-    budget: u64,
-) -> ConformanceReport {
-    run_conformance_static_for(workload, scheme, budget, StaticMode::Off)
-}
-
-/// [`run_conformance_for`] with an explicit [`StaticMode`] — the entry
-/// point `penny-fuzz`'s static-agreement stage uses.
+/// count). This is the entry point `penny-fuzz`'s static-agreement
+/// stage uses.
 pub fn run_conformance_static_for(
     workload: &Workload,
     scheme: SchemeId,
@@ -853,22 +844,6 @@ pub fn run_conformance_static_for(
         Shard::full(),
         mode,
     )
-}
-
-/// [`check_site`] for a workload value that need not be in the
-/// registry.
-///
-/// # Errors
-///
-/// Returns the mismatch/simulator-error description when the site does
-/// not recover to the fault-free final memory.
-pub fn check_site_for(
-    workload: &Workload,
-    scheme: SchemeId,
-    inj: &Injection,
-) -> Result<(), String> {
-    let p = prepare_workload(workload.clone(), scheme, false);
-    run_site(&p, inj)
 }
 
 /// Runs one shard of the conformance harness: only sample positions

@@ -1,21 +1,26 @@
-//! Hand-rolled JSON interchange for shard reports.
+//! JSON interchange for shard reports: the mapping between
+//! [`ConformanceReport`] and its JSON form.
 //!
 //! `penny-herd` shards are separate processes: each writes its
 //! [`ConformanceReport`]s as JSON ([`reports_to_json`]) and the
 //! orchestrator reads them back ([`reports_from_json`]) before
-//! merging. The repo builds fully offline, so this is a small
-//! self-contained writer/parser pair — objects, arrays, strings and
-//! `u64` numbers are the only shapes a report needs — rather than a
-//! serde dependency.
+//! merging. Parsing, string escaping and the typed field accessors
+//! come from the workspace's one JSON codec, [`penny_obs::json`]; this
+//! module only names the fields.
 //!
 //! Serialization is deterministic (fixed field order, no floats), and
 //! `from_json(to_json(r))` reproduces every verdict field
 //! bit-identically, so a merged sharded campaign renders byte-identical
-//! to the unsharded run even after a process boundary. The round-trip
-//! is pinned by the tests below and `tests/herd.rs`.
+//! to the unsharded run even after a process boundary. Decoding treats
+//! the file as untrusted: besides the codec's own bounds, every `u32`
+//! field (fault-space dimensions, shard index and count, injection
+//! coordinates) is range-checked rather than truncated, so a corrupt
+//! file fails its shard attempt instead of merging wrong data. The
+//! round-trip is pinned by the tests below and `tests/herd.rs`.
 
 use std::fmt::Write as _;
 
+use penny_obs::json::{self, escape, Value};
 use penny_sim::Injection;
 
 use crate::conformance::{
@@ -28,263 +33,6 @@ use crate::runner::SchemeId;
 /// incompatible field change so a herd never merges reports written by
 /// a different binary generation.
 pub const REPORT_FORMAT_VERSION: u64 = 1;
-
-/// A parsed JSON value — just the shapes shard reports use.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Json {
-    /// A string literal.
-    Str(String),
-    /// An unsigned integer (reports carry no floats or negatives).
-    Num(u64),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// The object fields, or an error naming `ctx`.
-    fn obj(&self, ctx: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Obj(f) => Ok(f),
-            _ => Err(format!("{ctx}: expected an object")),
-        }
-    }
-
-    /// The array elements, or an error naming `ctx`.
-    fn arr(&self, ctx: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(v) => Ok(v),
-            _ => Err(format!("{ctx}: expected an array")),
-        }
-    }
-
-    /// The number, or an error naming `ctx`.
-    fn num(&self, ctx: &str) -> Result<u64, String> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            _ => Err(format!("{ctx}: expected a number")),
-        }
-    }
-
-    /// The string, or an error naming `ctx`.
-    fn str(&self, ctx: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(format!("{ctx}: expected a string")),
-        }
-    }
-}
-
-/// Looks up a required object field.
-fn field<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn num_field(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
-    field(fields, key)?.num(key)
-}
-
-fn str_field<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a str, String> {
-    field(fields, key)?.str(key)
-}
-
-/// Parses one JSON document (trailing garbage rejected).
-///
-/// # Errors
-///
-/// Returns a position-labelled description of the first syntax error.
-pub fn parse(s: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing characters at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse()
-            .map(Json::Num)
-            .map_err(|_| format!("number out of range at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or(format!("invalid \\u{code:04x} escape"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one whole UTF-8 scalar (the input is a
-                    // &str, so boundaries are trustworthy).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            if out.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key {key:?}"));
-            }
-            out.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-/// Escapes a string for a JSON string literal (same escape set as
-/// `penny_obs`'s span serializer).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Serializes one report as a deterministic JSON object.
 pub fn report_to_json(r: &ConformanceReport) -> String {
@@ -401,90 +149,76 @@ fn intern_variant(name: &str) -> &'static str {
 }
 
 /// Rebuilds one report from its parsed JSON object.
-fn report_from_value(v: &Json) -> Result<ConformanceReport, String> {
-    let f = v.obj("report")?;
-    let space = {
-        let s = field(f, "space")?.obj("space")?;
-        FaultSpace {
-            blocks: num_field(s, "blocks")? as u32,
-            warps: num_field(s, "warps")? as u32,
-            lanes: num_field(s, "lanes")? as u32,
-            triggers: num_field(s, "triggers")?,
-            regs: num_field(s, "regs")? as u32,
-            bits: num_field(s, "bits")? as u32,
-        }
+fn report_from_value(f: &Value) -> Result<ConformanceReport, String> {
+    let s = f.field("space")?;
+    let space = FaultSpace {
+        blocks: s.u32("blocks")?,
+        warps: s.u32("warps")?,
+        lanes: s.u32("lanes")?,
+        triggers: s.num("triggers")?,
+        regs: s.u32("regs")?,
+        bits: s.u32("bits")?,
     };
-    let static_prune = {
-        let s = field(f, "static_prune")?.obj("static_prune")?;
-        StaticPruneCounts {
-            dead: num_field(s, "dead")?,
-            overwritten: num_field(s, "overwritten")?,
-            covered: num_field(s, "covered")?,
-        }
+    let s = f.field("static_prune")?;
+    let static_prune = StaticPruneCounts {
+        dead: s.num("dead")?,
+        overwritten: s.num("overwritten")?,
+        covered: s.num("covered")?,
     };
-    let classes = {
-        let s = field(f, "classes")?.obj("classes")?;
-        SiteClassCounts {
-            never_fires: num_field(s, "never_fires")?,
-            invisible: num_field(s, "invisible")?,
-            corrected_inline: num_field(s, "corrected_inline")?,
-            simulated: num_field(s, "simulated")?,
-            spliced: num_field(s, "spliced")?,
-        }
+    let s = f.field("classes")?;
+    let classes = SiteClassCounts {
+        never_fires: s.num("never_fires")?,
+        invisible: s.num("invisible")?,
+        corrected_inline: s.num("corrected_inline")?,
+        simulated: s.num("simulated")?,
+        spliced: s.num("spliced")?,
     };
-    let work = {
-        let s = field(f, "work")?.obj("work")?;
-        ReplayWork {
-            snapshots: num_field(s, "snapshots")?,
-            forks: num_field(s, "forks")?,
-            replayed_insts: num_field(s, "replayed_insts")?,
-            cold_insts: num_field(s, "cold_insts")?,
-            pages_copied: num_field(s, "pages_copied")?,
-        }
+    let s = f.field("work")?;
+    let work = ReplayWork {
+        snapshots: s.num("snapshots")?,
+        forks: s.num("forks")?,
+        replayed_insts: s.num("replayed_insts")?,
+        cold_insts: s.num("cold_insts")?,
+        pages_copied: s.num("pages_copied")?,
     };
-    let shard = {
-        let s = field(f, "shard")?.arr("shard")?;
-        if s.len() != 2 {
-            return Err("shard: expected [index, count]".into());
-        }
-        (s[0].num("shard index")? as u32, s[1].num("shard count")? as u32)
+    let shard = match f.arr("shard")? {
+        [index, count] => (index.as_u32("shard index")?, count.as_u32("shard count")?),
+        _ => return Err("shard: expected [index, count]".into()),
     };
     let mut disagreements = Vec::new();
-    for d in field(f, "disagreements")?.arr("disagreements")? {
-        let d = d.obj("disagreement")?;
-        disagreements.push((num_field(d, "pos")?, str_field(d, "reason")?.to_string()));
+    for d in f.arr("disagreements")? {
+        disagreements.push((d.num("pos")?, d.str("reason")?.to_string()));
     }
     let mut failures = Vec::new();
-    for x in field(f, "failures")?.arr("failures")? {
-        let x = x.obj("failure")?;
-        let i = field(x, "injection")?.obj("injection")?;
+    for x in f.arr("failures")? {
+        let i = x.field("injection")?;
         failures.push(ConformanceFailure {
-            sample: num_field(x, "sample")?,
+            sample: x.num("sample")?,
             injection: Injection {
-                block: num_field(i, "block")? as u32,
-                warp: num_field(i, "warp")? as u32,
-                lane: num_field(i, "lane")? as u32,
-                reg: num_field(i, "reg")? as u32,
-                bit: num_field(i, "bit")? as u32,
-                after_warp_insts: num_field(i, "after_warp_insts")?,
+                block: i.u32("block")?,
+                warp: i.u32("warp")?,
+                lane: i.u32("lane")?,
+                reg: i.u32("reg")?,
+                bit: i.u32("bit")?,
+                after_warp_insts: i.num("after_warp_insts")?,
             },
-            reason: str_field(x, "reason")?.to_string(),
-            reproducer: str_field(x, "reproducer")?.to_string(),
+            reason: x.str("reason")?.to_string(),
+            reproducer: x.str("reproducer")?.to_string(),
         });
     }
     Ok(ConformanceReport {
-        workload: intern_workload(str_field(f, "workload")?),
-        variant: intern_variant(str_field(f, "variant")?),
+        workload: intern_workload(f.str("workload")?),
+        variant: intern_variant(f.str("variant")?),
         space,
-        total: num_field(f, "total")?,
-        covered: num_field(f, "covered")?,
-        skipped: num_field(f, "skipped")?,
-        pruned_static: num_field(f, "pruned_static")?,
+        total: f.num("total")?,
+        covered: f.num("covered")?,
+        skipped: f.num("skipped")?,
+        pruned_static: f.num("pruned_static")?,
         static_prune,
-        static_checked: num_field(f, "static_checked")?,
-        static_disagreements: num_field(f, "static_disagreements")?,
+        static_checked: f.num("static_checked")?,
+        static_disagreements: f.num("static_disagreements")?,
         disagreements,
-        recovered: num_field(f, "recovered")?,
+        recovered: f.num("recovered")?,
         classes,
         work,
         shard,
@@ -496,39 +230,25 @@ fn report_from_value(v: &Json) -> Result<ConformanceReport, String> {
 ///
 /// # Errors
 ///
-/// Rejects syntax errors, a missing/mismatched version tag, and any
-/// structurally wrong report — the herd treats all of these as a failed
-/// shard attempt (retryable), never as mergeable data.
+/// Rejects syntax errors, a missing/mismatched version tag, any
+/// structurally wrong report and any out-of-range `u32` field — the
+/// herd treats all of these as a failed shard attempt (retryable),
+/// never as mergeable data.
 pub fn reports_from_json(s: &str) -> Result<Vec<ConformanceReport>, String> {
-    let v = parse(s)?;
-    let f = v.obj("report file")?;
-    let version = num_field(f, "v")?;
+    let v = json::parse(s)?;
+    let version = v.num("v")?;
     if version != REPORT_FORMAT_VERSION {
         return Err(format!(
             "report format v{version}, this binary reads v{REPORT_FORMAT_VERSION}"
         ));
     }
-    field(f, "reports")?.arr("reports")?.iter().map(report_from_value).collect()
+    v.arr("reports")?.iter().map(report_from_value).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conformance::{render_report, run_conformance, MAX_REPORTED_FAILURES};
-
-    #[test]
-    fn parser_handles_the_report_shapes() {
-        let v = parse(r#"{"a":1,"b":"x\ny","c":[1,2,{"d":[]}]}"#).unwrap();
-        let f = v.obj("t").unwrap();
-        assert_eq!(num_field(f, "a").unwrap(), 1);
-        assert_eq!(str_field(f, "b").unwrap(), "x\ny");
-        assert_eq!(field(f, "c").unwrap().arr("c").unwrap().len(), 3);
-        assert!(parse("{\"a\":1}garbage").is_err());
-        assert!(parse("{\"a\":1,\"a\":2}").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{").is_err());
-        assert!(parse("\"\\u0041\"").unwrap() == Json::Str("A".into()));
-    }
 
     #[test]
     fn clean_report_round_trips_bit_identically() {
@@ -570,12 +290,57 @@ mod tests {
         assert_eq!(render_report(back), render_report(&r));
     }
 
+    /// `json` with the number after the first `"key":` replaced by
+    /// `value`.
+    fn set_number(json: &str, key: &str, value: &str) -> String {
+        let tag = format!("\"{key}\":");
+        let start = json.find(&tag).expect("key present") + tag.len();
+        let len = json[start..].bytes().take_while(u8::is_ascii_digit).count();
+        assert!(len > 0, "{key} holds a number");
+        format!("{}{value}{}", &json[..start], &json[start + len..])
+    }
+
+    #[test]
+    fn out_of_range_u32_fields_are_rejected_not_truncated() {
+        let r = run_conformance("MT", SchemeId::Baseline, 120);
+        assert!(!r.failures.is_empty(), "injection fields must be present");
+        let json = reports_to_json(std::slice::from_ref(&r));
+        assert!(json.contains("\"shard\":[0,1]"));
+        for (shard, name) in
+            [("[4294967296,1]", "shard index"), ("[0,4294967297]", "shard count")]
+        {
+            let bad = json.replace("\"shard\":[0,1]", &format!("\"shard\":{shard}"));
+            let e = reports_from_json(&bad).expect_err(shard);
+            assert!(e.contains(name), "{e}");
+        }
+        let fields = ["blocks", "warps", "lanes", "regs", "bits"]
+            .into_iter()
+            .chain(["block", "warp", "lane", "reg", "bit"]);
+        for key in fields {
+            for huge in ["4294967296", "1844674407370955161"] {
+                let e = reports_from_json(&set_number(&json, key, huge)).expect_err(key);
+                assert!(e.starts_with(&format!("{key}:")), "{e}");
+            }
+            // The largest u32 still decodes.
+            reports_from_json(&set_number(&json, key, "4294967295")).expect(key);
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(reports_from_json(&"[".repeat(100_000)).is_err());
+        let nested = format!("{{\"v\":1,\"reports\":{}", "[".repeat(100_000));
+        assert!(reports_from_json(&nested).is_err());
+    }
+
     #[test]
     fn version_and_structure_errors_are_rejected() {
         assert!(reports_from_json("{\"v\":99,\"reports\":[]}").is_err());
         assert!(reports_from_json("{\"reports\":[]}").is_err());
         assert!(reports_from_json("{\"v\":1,\"reports\":[{\"workload\":\"MT\"}]}").is_err());
         assert!(reports_from_json("not json").is_err());
+        assert!(reports_from_json("{\"v\":1,\"reports\":[]} trailing").is_err());
+        assert!(reports_from_json("{\"v\":1,\"v\":1,\"reports\":[]}").is_err());
         assert_eq!(reports_from_json("{\"v\":1,\"reports\":[]}").unwrap().len(), 0);
     }
 }

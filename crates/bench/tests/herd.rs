@@ -27,14 +27,13 @@ fn scratch(name: &str) -> PathBuf {
 /// work, later ones run for real. Crash bookkeeping lives in marker
 /// files inside `dir`, so retries of one test don't see another's.
 fn crashy_eval(dir: &Path, crashes: u32) -> PathBuf {
-    use std::os::unix::fs::PermissionsExt;
     let eval = env!("CARGO_BIN_EXE_penny-eval");
     let script = dir.join("crashy-eval.sh");
     let markers = dir.join("crash-markers");
     std::fs::create_dir_all(&markers).expect("create marker dir");
-    std::fs::write(
+    write_script(
         &script,
-        format!(
+        &format!(
             "#!/bin/sh\n\
              case \" $* \" in\n\
              *\" --shard 1/\"*)\n\
@@ -45,12 +44,17 @@ fn crashy_eval(dir: &Path, crashes: u32) -> PathBuf {
              exec \"{eval}\" \"$@\"\n",
             markers = markers.display(),
         ),
-    )
-    .expect("write wrapper");
-    let mut perms = std::fs::metadata(&script).expect("stat wrapper").permissions();
-    perms.set_mode(0o755);
-    std::fs::set_permissions(&script, perms).expect("chmod wrapper");
+    );
     script
+}
+
+/// Writes `body` to `path` as an executable shell script.
+fn write_script(path: &Path, body: &str) {
+    use std::os::unix::fs::PermissionsExt;
+    std::fs::write(path, body).expect("write wrapper");
+    let mut perms = std::fs::metadata(path).expect("stat wrapper").permissions();
+    perms.set_mode(0o755);
+    std::fs::set_permissions(path, perms).expect("chmod wrapper");
 }
 
 fn spec(dir: &Path, budget: u64, retries: u32) -> CampaignSpec {
@@ -111,12 +115,13 @@ fn killed_shard_is_retried_and_the_merge_is_byte_identical() {
             .lines()
             .find(|l| l.contains("\"subject\":\"recording-store\""))
             .expect("recording-store span present");
-        let span = penny_obs::schema::parse_line(store_line).expect("valid span line");
-        let penny_obs::schema::Value::IntMap(counters) = &span["counters"] else {
-            panic!("counters must be a map");
-        };
-        assert!(counters["hits"] >= 1, "warm shard {index} must hit the store");
-        assert_eq!(counters["misses"], 0, "warm shard {index} must not re-record");
+        penny_obs::schema::validate_line(store_line).expect("valid span line");
+        let span = penny_obs::json::parse(store_line).expect("valid span line");
+        let counters = span.field("counters").expect("counters");
+        let (hits, misses) =
+            (counters.num("hits").unwrap(), counters.num("misses").unwrap());
+        assert!(hits >= 1, "warm shard {index} must hit the store");
+        assert_eq!(misses, 0, "warm shard {index} must not re-record");
     }
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -152,18 +157,41 @@ fn exhausted_retries_degrade_to_a_labelled_partial_report() {
 }
 
 #[test]
+fn corrupt_report_file_fails_the_attempt_instead_of_aborting() {
+    let dir = scratch("corrupt");
+    // Shard 1 runs for real and exits 0, but its report file is then
+    // replaced by 100k nested `[`: deep enough to overflow the stack of
+    // an unbounded parser and abort this (the orchestrator's) process.
+    let script = dir.join("corrupting-eval.sh");
+    write_script(
+        &script,
+        &format!(
+            "#!/bin/sh\n\
+             prev=; for a in \"$@\"; do\n\
+             \t[ \"$prev\" = --report-json ] && report=\"$a\"; prev=\"$a\"\n\
+             done\n\
+             \"{eval}\" \"$@\" || exit $?\n\
+             case \" $* \" in\n\
+             *\" --shard 1/\"*) head -c 100000 /dev/zero | tr '\\0' '[' > \"$report\";;\n\
+             esac\n",
+            eval = env!("CARGO_BIN_EXE_penny-eval"),
+        ),
+    );
+    let template = CommandTemplate { program: script, args: Vec::new() };
+    let outcome = run_campaign(&spec(&dir, 32, 1), &template).expect("campaign");
+    assert_eq!(outcome.failed_shards(), vec![1], "the corrupt shard is named");
+    assert_eq!(outcome.shards[1].attempts, 2, "a corrupt report is retried");
+    assert!(outcome.partial && outcome.shards[0].ok);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn hung_shard_is_killed_by_the_timeout() {
     let dir = scratch("timeout");
     // A "shard" that sleeps forever: every attempt times out, so the
     // campaign degrades to partial on every shard.
     let script = dir.join("sleepy.sh");
-    {
-        use std::os::unix::fs::PermissionsExt;
-        std::fs::write(&script, "#!/bin/sh\nsleep 3600\n").expect("write wrapper");
-        let mut p = std::fs::metadata(&script).expect("stat").permissions();
-        p.set_mode(0o755);
-        std::fs::set_permissions(&script, p).expect("chmod");
-    }
+    write_script(&script, "#!/bin/sh\nsleep 3600\n");
     let mut s = spec(&dir, 16, 0);
     s.timeout = Duration::from_millis(200);
     let template = CommandTemplate { program: script, args: Vec::new() };

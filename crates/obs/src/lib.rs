@@ -33,14 +33,19 @@
 //!   and exit-status counters).
 //!
 //! Spans serialize to JSONL via [`Span::to_jsonl`]; the versioned
-//! schema lives in [`schema`] together with a dependency-free
-//! validator (`penny-prof --check` runs every emitted line through
-//! it).
+//! schema lives in [`schema`] together with its validator
+//! (`penny-prof --check` runs every emitted line through it). Both sit
+//! on [`json`], the workspace's one JSON codec, which `penny-bench`'s
+//! shard-report interchange and `penny-lint --json` share.
 
+pub mod json;
 pub mod schema;
 
+use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
+
+use crate::json::escape;
 
 /// A static counter attached to a span at an instrumentation site.
 pub type Counter = (&'static str, u64);
@@ -122,54 +127,27 @@ impl Span {
     /// `workload`, `scheme`) appended after the core schema fields.
     pub fn to_jsonl_with(&self, extra: &[(&str, &str)]) -> String {
         let mut out = String::with_capacity(96);
-        out.push_str("{\"v\":1,\"kind\":\"");
-        out.push_str(self.kind.name());
-        out.push_str("\",\"subject\":\"");
-        out.push_str(&json_escape(&self.subject));
-        out.push_str("\",\"label\":\"");
-        out.push_str(&json_escape(&self.label));
-        out.push_str("\",\"wall_ns\":");
-        out.push_str(&self.wall_ns.to_string());
-        out.push_str(",\"counters\":{");
+        let _ = write!(
+            out,
+            "{{\"v\":1,\"kind\":\"{}\",\"subject\":\"{}\",\"label\":\"{}\",\"wall_ns\":{},\"counters\":{{",
+            self.kind.name(),
+            escape(&self.subject),
+            escape(&self.label),
+            self.wall_ns
+        );
         for (i, (name, value)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            out.push_str(&json_escape(name));
-            out.push_str("\":");
-            out.push_str(&value.to_string());
+            let _ = write!(out, "\"{}\":{value}", escape(name));
         }
         out.push('}');
         for (key, value) in extra {
-            out.push_str(",\"");
-            out.push_str(&json_escape(key));
-            out.push_str("\":\"");
-            out.push_str(&json_escape(value));
-            out.push('"');
+            let _ = write!(out, ",\"{}\":\"{}\"", escape(key), escape(value));
         }
         out.push('}');
         out
     }
-}
-
-/// Escapes a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A span sink. Implementations must be cheap to query: `enabled()` is

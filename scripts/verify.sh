@@ -6,7 +6,10 @@
 #   1. formatting and clippy lints (warnings are errors);
 #   2. the kernel sanitizer (penny-lint) over all 25 workloads,
 #      warnings denied — the evaluation suite must stay lint-clean;
-#   3. release build of the whole workspace;
+#   3. release build of the whole workspace, plus the benchmark's
+#      traced driver (perfbench/tracer, its own workspace), so renaming
+#      a public item the benchmark imports fails here and not only in
+#      the benchmark;
 #   4. the root-package test suite (the tier-1 gate);
 #   5. the determinism/equivalence suites that pin every engine fast
 #      path — event-driven vs dense scheduling, --jobs fan-out, and the
@@ -66,6 +69,9 @@ cargo run -q -p penny-bench --bin penny-lint -- --all-workloads --deny-warnings
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> cargo build --release: benchmark tracer (perfbench/tracer)"
+cargo build --release --offline --manifest-path perfbench/tracer/Cargo.toml
 
 echo "==> tier-1: cargo test -q (root package)"
 cargo test -q
