@@ -23,8 +23,10 @@
 //! counters under SECDED, a forked replay of just the victim's wave
 //! otherwise — and sites whose replays are provably bit-identical
 //! (same victim cell, same first observing read) are grouped so one
-//! replay answers the whole group. The determinism contract (forked ==
-//! from-scratch, bit for bit) is pinned by
+//! replay answers the whole group. Classification goes a row at a time:
+//! the codeword bits of one (block, warp, lane, trigger, register) share
+//! every classifier's answer, so one lookup covers them all. The
+//! determinism contract (forked == from-scratch, bit for bit) is pinned by
 //! `crates/sim/tests/snapshot_replay.rs` and the bench-level
 //! equivalence suite.
 //!
@@ -88,6 +90,20 @@ impl FaultSpace {
             * self.triggers
             * self.regs as u64
             * self.bits as u64
+    }
+
+    /// [`FaultSpace::total`], or `None` when the product overflows
+    /// `u64` (only a corrupt report can describe such a space).
+    pub(crate) fn checked_total(&self) -> Option<u64> {
+        [
+            self.warps as u64,
+            self.lanes as u64,
+            self.triggers,
+            self.regs as u64,
+            self.bits as u64,
+        ]
+        .into_iter()
+        .try_fold(self.blocks as u64, u64::checked_mul)
     }
 
     /// Decodes a site index into its injection.
@@ -175,6 +191,21 @@ impl SiteSeq {
         match self {
             SiteSeq::Exhaustive(_) => pos,
             SiteSeq::Sampled(v) => v[pos as usize],
+        }
+    }
+
+    /// End (exclusive) of the **row** holding sample position `pos`: the
+    /// maximal run of positions whose sites differ only in the innermost
+    /// `bit` digit. An exhaustive sequence visits whole codewords, so its
+    /// rows hold `bits` positions; a strided sample visits one site per
+    /// row.
+    fn row_end(&self, bits: u32, pos: u64) -> u64 {
+        match self {
+            SiteSeq::Exhaustive(total) => {
+                let bits = bits.max(1) as u64;
+                (pos - pos % bits + bits).min(*total)
+            }
+            SiteSeq::Sampled(_) => pos + 1,
         }
     }
 }
@@ -266,8 +297,18 @@ impl Shard {
         Ok(Shard { index, count })
     }
 
-    fn owns(&self, pos: u64) -> bool {
-        pos % self.count as u64 == self.index as u64
+    /// The sample positions of `start..end` this shard owns, as
+    /// `(first, count)`: positions `first + k * self.count` for
+    /// `k < count`. Computed arithmetically, so a row or a whole space
+    /// is apportioned without visiting its positions.
+    pub fn owned_in(&self, start: u64, end: u64) -> (u64, u64) {
+        let n = self.count as u64;
+        if self.index as u64 >= n {
+            return (end, 0);
+        }
+        let first = start + (self.index as u64 + n - start % n) % n;
+        let owned = if first < end { (end - 1 - first) / n + 1 } else { 0 };
+        (first, owned)
     }
 }
 
@@ -314,6 +355,21 @@ impl SiteClassCounts {
         self.simulated += o.simulated;
         self.spliced += o.spliced;
     }
+
+    fn checked_add(&self, o: &SiteClassCounts) -> Option<SiteClassCounts> {
+        Some(SiteClassCounts {
+            never_fires: self.never_fires.checked_add(o.never_fires)?,
+            invisible: self.invisible.checked_add(o.invisible)?,
+            corrected_inline: self.corrected_inline.checked_add(o.corrected_inline)?,
+            simulated: self.simulated.checked_add(o.simulated)?,
+            spliced: self.spliced.checked_add(o.spliced)?,
+        })
+    }
+}
+
+/// `xs` summed, or `None` on `u64` overflow.
+pub(crate) fn checked_sum(xs: &[u64]) -> Option<u64> {
+    xs.iter().try_fold(0u64, |a, &x| a.checked_add(x))
 }
 
 /// How the harness uses the compile-time [`VulnerabilityMap`].
@@ -349,6 +405,19 @@ impl StaticPruneCounts {
         self.dead += o.dead;
         self.overwritten += o.overwritten;
         self.covered += o.covered;
+    }
+
+    fn checked_add(&self, o: &StaticPruneCounts) -> Option<StaticPruneCounts> {
+        Some(StaticPruneCounts {
+            dead: self.dead.checked_add(o.dead)?,
+            overwritten: self.overwritten.checked_add(o.overwritten)?,
+            covered: self.covered.checked_add(o.covered)?,
+        })
+    }
+
+    /// [`StaticPruneCounts::total`], or `None` on `u64` overflow.
+    pub(crate) fn checked_total(&self) -> Option<u64> {
+        checked_sum(&[self.dead, self.overwritten, self.covered])
     }
 
     /// Total pruned sites.
@@ -419,12 +488,14 @@ pub struct ReplayWork {
 }
 
 impl ReplayWork {
-    fn add(&mut self, o: &ReplayWork) {
-        self.snapshots += o.snapshots;
-        self.forks += o.forks;
-        self.replayed_insts += o.replayed_insts;
-        self.cold_insts += o.cold_insts;
-        self.pages_copied += o.pages_copied;
+    fn checked_add(&self, o: &ReplayWork) -> Option<ReplayWork> {
+        Some(ReplayWork {
+            snapshots: self.snapshots.checked_add(o.snapshots)?,
+            forks: self.forks.checked_add(o.forks)?,
+            replayed_insts: self.replayed_insts.checked_add(o.replayed_insts)?,
+            cold_insts: self.cold_insts.checked_add(o.cold_insts)?,
+            pages_copied: self.pages_copied.checked_add(o.pages_copied)?,
+        })
     }
 }
 
@@ -801,21 +872,183 @@ struct Group {
     positions: Vec<u64>,
 }
 
-/// Per-chunk classification output.
-struct ChunkClass {
+/// Phase-1 output — every owned site classified: counters, plus the
+/// simulated sites folded into replay groups. Built per position chunk,
+/// then merged in position order.
+#[derive(Default)]
+struct Classified {
     covered: u64,
     classes: SiteClassCounts,
-    /// Unique replay groups first seen in this chunk, in first-seen
-    /// (ascending position) order.
+    /// Unique replay groups in first-seen (ascending position) order.
     groups: Vec<(GroupKey, Group)>,
     /// Sites answered statically under [`StaticMode::Prune`].
     pruned: StaticPruneCounts,
     /// Static claims checked under [`StaticMode::Validate`].
     static_checked: u64,
-    /// Total translation-validation failures in this chunk.
+    /// Total translation-validation failures.
     disagreement_count: u64,
     /// Lowest-position disagreements (capped).
     disagreements: Vec<(u64, String)>,
+}
+
+impl Classified {
+    /// Adds `members` sites to the replay group `key`, opening it with
+    /// representative `rep` when `key` is new. `positions` are the
+    /// members' sample positions, ascending and above any position the
+    /// group already holds.
+    fn join(
+        &mut self,
+        index_of: &mut HashMap<GroupKey, usize>,
+        key: GroupKey,
+        rep: Injection,
+        members: u64,
+        positions: impl Iterator<Item = u64>,
+    ) {
+        let gi = *index_of.entry(key).or_insert_with(|| {
+            self.groups.push((key, Group { rep, members: 0, positions: Vec::new() }));
+            self.groups.len() - 1
+        });
+        let g = &mut self.groups[gi].1;
+        g.members += members;
+        let room = MAX_REPORTED_FAILURES - g.positions.len();
+        g.positions.extend(positions.take(room));
+    }
+}
+
+/// Phase 1 of a conformance run: classifies every site of `seq` that
+/// `shard` owns, in parallel over position chunks. Analytic classes are
+/// counted on the spot; simulated sites collapse into replay-equivalence
+/// groups.
+///
+/// The walk goes **row by row** (see [`SiteSeq::row_end`]): the
+/// recording's classifiers and the static map read block, warp, lane,
+/// trigger and register, never the bit, so one decode, one
+/// `static_point`, one static `classify` and one `site_class` answer
+/// every owned position of a row, and each counter grows by the row's
+/// owned count. Only replay groups can depend on the bit: an
+/// unprotected RF observes the flipped value, so its memo key carries
+/// the bit and each owned bit joins its own group. Group
+/// representatives and positions are taken from the owned positions in
+/// ascending order, exactly as a site-by-site walk would.
+fn classify_sites(
+    p: &Prepared,
+    seq: &SiteSeq,
+    shard: Shard,
+    mode: StaticMode,
+) -> Classified {
+    let model = rf_model(p.gpu_config.rf);
+    let vmap: Option<&VulnerabilityMap> = match mode {
+        StaticMode::Off => None,
+        _ => Some(p.protected.vulnerability.as_ref().expect(
+            "static conformance modes compile with the vulnerability analysis enabled",
+        )),
+    };
+    let bit_keyed = p.gpu_config.rf == RfProtection::None;
+    let step = shard.count as u64;
+    let chunk_bounds: Vec<(u64, u64)> = (0..seq.len())
+        .step_by(CHUNK as usize)
+        .map(|s| (s, (s + CHUNK).min(seq.len())))
+        .collect();
+    let chunked = parallel_map(&chunk_bounds, |&(start, end)| {
+        let mut out = Classified::default();
+        let mut index_of: HashMap<GroupKey, usize> = HashMap::new();
+        let mut row = start;
+        while row < end {
+            let row_end = seq.row_end(p.space.bits, row).min(end);
+            let (first, owned) = shard.owned_in(row, row_end);
+            row = row_end;
+            if owned == 0 {
+                continue;
+            }
+            // The row's owned positions, ascending; the site at each one
+            // differs from `inj` (the first) only in its bit.
+            let positions = (0..owned).map(move |k| first + k * step);
+            let inj = p.space.site(seq.index_at(first));
+            let at = |pos: u64| Injection { bit: inj.bit + (pos - first) as u32, ..inj };
+            // Static classification first: a claimed row is either
+            // answered on the spot (Prune) or cross-examined against
+            // the dynamic classifier (Validate).
+            let claim = match vmap {
+                None => StaticSiteClass::Unknown,
+                Some(m) => match p.recording.static_point(&inj) {
+                    Some(pc) => m.classify(pc, inj.reg, model),
+                    None => StaticSiteClass::Unknown,
+                },
+            };
+            if mode == StaticMode::Prune {
+                let bucket = match claim {
+                    StaticSiteClass::StaticDead => Some(&mut out.pruned.dead),
+                    StaticSiteClass::StaticOverwritten => Some(&mut out.pruned.overwritten),
+                    StaticSiteClass::StaticCovered => Some(&mut out.pruned.covered),
+                    StaticSiteClass::Unknown => None,
+                };
+                if let Some(n) = bucket {
+                    *n += owned;
+                    continue;
+                }
+            }
+            out.covered += owned;
+            let dynamic = p.recording.site_class(&inj);
+            if mode == StaticMode::Validate && claim != StaticSiteClass::Unknown {
+                out.static_checked += owned;
+                if !static_claim_holds(claim, dynamic, model) {
+                    out.disagreement_count += owned;
+                    let room = MAX_REPORTED_FAILURES - out.disagreements.len();
+                    out.disagreements.extend(positions.clone().take(room).map(|pos| {
+                        let site = at(pos);
+                        (
+                            pos,
+                            format!(
+                                "static {claim} contradicted by dynamic {dynamic:?} at \
+                                 {site:?}"
+                            ),
+                        )
+                    }));
+                }
+            }
+            let count = match dynamic {
+                SiteClass::NeverFires => &mut out.classes.never_fires,
+                SiteClass::Invisible => &mut out.classes.invisible,
+                SiteClass::CorrectedInline => &mut out.classes.corrected_inline,
+                SiteClass::Simulated => &mut out.classes.simulated,
+            };
+            *count += owned;
+            if dynamic != SiteClass::Simulated {
+                continue;
+            }
+            let memo_key = |site: &Injection| {
+                p.recording.memo_key(site).expect("simulated sites have memo keys")
+            };
+            if bit_keyed {
+                for pos in positions {
+                    let site = at(pos);
+                    out.join(&mut index_of, memo_key(&site), site, 1, std::iter::once(pos));
+                }
+            } else {
+                out.join(&mut index_of, memo_key(&inj), inj, owned, positions);
+            }
+        }
+        out
+    });
+
+    // Merge chunks in position order: group representatives keep the
+    // globally-first member, positions stay ascending.
+    let mut merged = Classified::default();
+    let mut index_of: HashMap<GroupKey, usize> = HashMap::new();
+    for chunk in chunked {
+        merged.covered += chunk.covered;
+        merged.classes.add(&chunk.classes);
+        merged.pruned.add(&chunk.pruned);
+        merged.static_checked += chunk.static_checked;
+        merged.disagreement_count += chunk.disagreement_count;
+        merged.disagreements.extend(chunk.disagreements);
+        for (key, g) in chunk.groups {
+            merged.join(&mut index_of, key, g.rep, g.members, g.positions.into_iter());
+        }
+    }
+    merged.disagreements.sort_by_key(|a| a.0);
+    merged.disagreements.truncate(MAX_REPORTED_FAILURES);
+    merged
 }
 
 /// Runs the conformance harness for one (workload, scheme) pair with a
@@ -900,139 +1133,20 @@ fn run_prepared(
     let workload = p.workload.abbr;
     let total = p.space.total();
     let seq = p.space.sequence(budget);
-    let positions = seq.len();
-    let model = rf_model(scheme.rf());
-    let vmap: Option<&VulnerabilityMap> = match mode {
-        StaticMode::Off => None,
-        _ => Some(p.protected.vulnerability.as_ref().expect(
-            "static conformance modes compile with the vulnerability analysis enabled",
-        )),
-    };
 
-    // Phase 1 — classify every owned site (parallel over position
-    // chunks): analytic classes are answered on the spot, simulated
-    // sites collapse into replay-equivalence groups.
-    let chunk_bounds: Vec<(u64, u64)> = (0..positions)
-        .step_by(CHUNK as usize)
-        .map(|s| (s, (s + CHUNK).min(positions)))
-        .collect();
-    let chunked = parallel_map(&chunk_bounds, |&(start, end)| {
-        let mut out = ChunkClass {
-            covered: 0,
-            classes: SiteClassCounts::default(),
-            groups: Vec::new(),
-            pruned: StaticPruneCounts::default(),
-            static_checked: 0,
-            disagreement_count: 0,
-            disagreements: Vec::new(),
-        };
-        let mut index_of: HashMap<(u32, u32, u32, u32, u32, u64), usize> = HashMap::new();
-        for pos in start..end {
-            if !shard.owns(pos) {
-                continue;
-            }
-            let inj = p.space.site(seq.index_at(pos));
-            // Static classification first: a claimed site is either
-            // answered on the spot (Prune) or cross-examined against
-            // the dynamic classifier (Validate).
-            let claim = match vmap {
-                None => StaticSiteClass::Unknown,
-                Some(m) => match p.recording.static_point(&inj) {
-                    Some(pc) => m.classify(pc, inj.reg, model),
-                    None => StaticSiteClass::Unknown,
-                },
-            };
-            if mode == StaticMode::Prune && claim != StaticSiteClass::Unknown {
-                match claim {
-                    StaticSiteClass::StaticDead => out.pruned.dead += 1,
-                    StaticSiteClass::StaticOverwritten => out.pruned.overwritten += 1,
-                    StaticSiteClass::StaticCovered => out.pruned.covered += 1,
-                    StaticSiteClass::Unknown => unreachable!(),
-                }
-                continue;
-            }
-            out.covered += 1;
-            let dynamic = p.recording.site_class(&inj);
-            if mode == StaticMode::Validate && claim != StaticSiteClass::Unknown {
-                out.static_checked += 1;
-                if !static_claim_holds(claim, dynamic, model) {
-                    out.disagreement_count += 1;
-                    if out.disagreements.len() < MAX_REPORTED_FAILURES {
-                        out.disagreements.push((
-                            pos,
-                            format!(
-                                "static {claim} contradicted by dynamic {dynamic:?} at \
-                                 {inj:?}"
-                            ),
-                        ));
-                    }
-                }
-            }
-            match dynamic {
-                SiteClass::NeverFires => out.classes.never_fires += 1,
-                SiteClass::Invisible => out.classes.invisible += 1,
-                SiteClass::CorrectedInline => out.classes.corrected_inline += 1,
-                SiteClass::Simulated => {
-                    out.classes.simulated += 1;
-                    let key =
-                        p.recording.memo_key(&inj).expect("simulated sites have memo keys");
-                    let gi = *index_of.entry(key).or_insert_with(|| {
-                        out.groups.push((
-                            key,
-                            Group { rep: inj, members: 0, positions: Vec::new() },
-                        ));
-                        out.groups.len() - 1
-                    });
-                    let g = &mut out.groups[gi].1;
-                    g.members += 1;
-                    if g.positions.len() < MAX_REPORTED_FAILURES {
-                        g.positions.push(pos);
-                    }
-                }
-            }
-        }
-        out
-    });
-
-    // Merge chunks in position order: group representatives keep the
-    // globally-first member, positions stay ascending.
-    let mut covered = 0u64;
-    let mut classes = SiteClassCounts::default();
-    let mut static_prune = StaticPruneCounts::default();
-    let mut static_checked = 0u64;
-    let mut static_disagreements = 0u64;
-    let mut disagreements: Vec<(u64, String)> = Vec::new();
-    let mut order: Vec<(u32, u32, u32, u32, u32, u64)> = Vec::new();
-    let mut merged: HashMap<(u32, u32, u32, u32, u32, u64), Group> = HashMap::new();
-    for chunk in chunked {
-        covered += chunk.covered;
-        classes.add(&chunk.classes);
-        static_prune.add(&chunk.pruned);
-        static_checked += chunk.static_checked;
-        static_disagreements += chunk.disagreement_count;
-        disagreements.extend(chunk.disagreements);
-        for (key, seen) in chunk.groups {
-            match merged.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    order.push(key);
-                    e.insert(seen);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let g = e.get_mut();
-                    g.members += seen.members;
-                    for pos in seen.positions {
-                        if g.positions.len() < MAX_REPORTED_FAILURES {
-                            g.positions.push(pos);
-                        }
-                    }
-                }
-            }
-        }
-    }
+    // Phase 1 — classify every owned site, one row at a time.
+    let Classified {
+        covered,
+        mut classes,
+        groups,
+        pruned: static_prune,
+        static_checked,
+        disagreement_count: static_disagreements,
+        disagreements,
+    } = classify_sites(&p, &seq, shard, mode);
 
     // Phase 2 — one forked replay per group (parallel over groups).
-    let groups: Vec<&Group> = order.iter().map(|k| &merged[k]).collect();
-    let outcomes = parallel_map(&groups, |g| run_site_forked(&p, &g.rep, g.members));
+    let outcomes = parallel_map(&groups, |(_, g)| run_site_forked(&p, &g.rep, g.members));
 
     // Phase 3 — verdicts, failure attribution, counters.
     let mut work = ReplayWork {
@@ -1044,7 +1158,7 @@ fn run_prepared(
     };
     let mut failed_sites = 0u64;
     let mut failing: Vec<(u64, String)> = Vec::new();
-    for (g, o) in groups.iter().zip(&outcomes) {
+    for ((_, g), o) in groups.iter().zip(&outcomes) {
         work.replayed_insts += o.replayed_insts;
         work.pages_copied += o.pages_copied;
         if o.spliced {
@@ -1096,9 +1210,6 @@ fn run_prepared(
             ],
         );
     }
-
-    disagreements.sort_by_key(|a| a.0);
-    disagreements.truncate(MAX_REPORTED_FAILURES);
 
     ConformanceReport {
         workload,
@@ -1166,6 +1277,12 @@ pub enum MergeError {
         /// `{scheme}x{flips}` of the first result.
         expected: String,
     },
+    /// Summed over the shards, a site counter overflows `u64` or exceeds
+    /// the fault space — the shards overlap or a report is corrupt.
+    Overcount {
+        /// The report field whose sum is impossible.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for MergeError {
@@ -1187,6 +1304,12 @@ impl fmt::Display for MergeError {
             MergeError::CampaignMismatch { index, found, expected } => {
                 write!(f, "mismatched campaign shard {index}: {found} vs {expected}")
             }
+            MergeError::Overcount { field } => {
+                write!(
+                    f,
+                    "shard reports overcount {field}: more sites than the fault space"
+                )
+            }
         }
     }
 }
@@ -1201,7 +1324,8 @@ impl std::error::Error for MergeError {}
 ///
 /// Rejects an empty input, mismatched (workload, scheme, space) pairs,
 /// and partitions that are not exactly `0/n .. (n-1)/n` — each as a
-/// distinct [`MergeError`] variant naming the offending shard.
+/// distinct [`MergeError`] variant naming the offending shard — and
+/// counters whose sum is impossible ([`MergeError::Overcount`]).
 pub fn merge_reports(
     reports: &[ConformanceReport],
 ) -> Result<ConformanceReport, MergeError> {
@@ -1228,8 +1352,8 @@ pub fn merge_reports(
 ///
 /// # Errors
 ///
-/// [`MergeError::Empty`], [`MergeError::ShapeMismatch`], or
-/// [`MergeError::DuplicateShard`].
+/// [`MergeError::Empty`], [`MergeError::ShapeMismatch`],
+/// [`MergeError::DuplicateShard`], or [`MergeError::Overcount`].
 pub fn merge_reports_allow_missing(
     reports: &[ConformanceReport],
 ) -> Result<(ConformanceReport, Vec<u32>), MergeError> {
@@ -1281,21 +1405,44 @@ pub fn merge_reports_allow_missing(
             return Err(MergeError::DuplicateShard { index: idx as u32, count });
         }
         seen[idx] = true;
-        merged.covered += r.covered;
-        merged.recovered += r.recovered;
-        merged.classes.add(&r.classes);
-        merged.static_prune.add(&r.static_prune);
-        merged.static_checked += r.static_checked;
-        merged.static_disagreements += r.static_disagreements;
+        let sum =
+            |a: u64, b: u64, field| a.checked_add(b).ok_or(MergeError::Overcount { field });
+        merged.covered = sum(merged.covered, r.covered, "covered")?;
+        merged.recovered = sum(merged.recovered, r.recovered, "recovered")?;
+        merged.static_checked =
+            sum(merged.static_checked, r.static_checked, "static_checked")?;
+        merged.static_disagreements = sum(
+            merged.static_disagreements,
+            r.static_disagreements,
+            "static_disagreements",
+        )?;
+        merged.classes = merged
+            .classes
+            .checked_add(&r.classes)
+            .ok_or(MergeError::Overcount { field: "classes" })?;
+        merged.static_prune = merged
+            .static_prune
+            .checked_add(&r.static_prune)
+            .ok_or(MergeError::Overcount { field: "static_prune" })?;
+        merged.work = merged
+            .work
+            .checked_add(&r.work)
+            .ok_or(MergeError::Overcount { field: "work" })?;
         merged.disagreements.extend(r.disagreements.iter().cloned());
-        merged.work.add(&r.work);
         merged.failures.extend(r.failures.iter().cloned());
     }
     // Snapshots are a property of the (shared, deterministic) recording,
     // not of the shard's site subset: report them once, not n times.
     merged.work.snapshots = first.work.snapshots;
-    merged.pruned_static = merged.static_prune.total();
-    merged.skipped = merged.total - merged.covered - merged.pruned_static;
+    merged.pruned_static = merged
+        .static_prune
+        .checked_total()
+        .ok_or(MergeError::Overcount { field: "pruned_static" })?;
+    merged.skipped = merged
+        .total
+        .checked_sub(merged.covered)
+        .and_then(|rest| rest.checked_sub(merged.pruned_static))
+        .ok_or(MergeError::Overcount { field: "covered" })?;
     merged.failures.sort_by_key(|a| a.sample);
     merged.failures.truncate(MAX_REPORTED_FAILURES);
     merged.disagreements.sort_by_key(|a| a.0);
@@ -1622,9 +1769,28 @@ mod tests {
     fn shard_partition_is_exact() {
         let shards: Vec<Shard> = (0..3).map(|i| Shard { index: i, count: 3 }).collect();
         for pos in 0..100u64 {
-            let owners = shards.iter().filter(|s| s.owns(pos)).count();
+            let owners = shards.iter().filter(|s| s.owned_in(pos, pos + 1).1 == 1).count();
             assert_eq!(owners, 1, "position {pos} owned by {owners} shards");
         }
+        // Any window apportions exactly: the shards' counts sum to its
+        // length, and each shard's first position is its own residue.
+        for (start, end) in [(0u64, 0u64), (0, 1), (5, 6), (7, 40), (33, 66), (100, 1000)] {
+            let mut sum = 0;
+            for s in &shards {
+                let (first, owned) = s.owned_in(start, end);
+                let expect =
+                    (start..end).filter(|p| p % 3 == s.index as u64).count() as u64;
+                assert_eq!(owned, expect, "shard {} over {start}..{end}", s.index);
+                if owned > 0 {
+                    assert_eq!(first % 3, s.index as u64);
+                    assert!(first >= start && first < start + 3);
+                }
+                sum += owned;
+            }
+            assert_eq!(sum, end - start);
+        }
+        // An index outside the partition owns nothing.
+        assert_eq!(Shard { index: 3, count: 3 }.owned_in(0, 100).1, 0);
     }
 
     #[test]
@@ -1656,6 +1822,152 @@ mod tests {
                 assert_eq!(cold, forked, "{abbr}/{scheme:?}: verdicts diverge at {inj:?}");
             }
             assert!(simulated > 0, "{abbr}/{scheme:?}: sample never simulated");
+        }
+    }
+
+    /// One site as the per-site oracle sees it, classified through the
+    /// public API alone.
+    struct OracleSite {
+        pos: u64,
+        inj: Injection,
+        claim: StaticSiteClass,
+        dynamic: SiteClass,
+        key: Option<GroupKey>,
+    }
+
+    /// Phase 1 the slow way: every site of `seq` decoded and classified
+    /// on its own, bit included.
+    fn oracle_sites(p: &Prepared, seq: &SiteSeq) -> Vec<OracleSite> {
+        let model = rf_model(p.gpu_config.rf);
+        let vmap = p.protected.vulnerability.as_ref().expect("vulnerability compiled");
+        (0..seq.len())
+            .map(|pos| {
+                let inj = p.space.site(seq.index_at(pos));
+                let claim =
+                    p.recording.static_point(&inj).map_or(StaticSiteClass::Unknown, |pc| {
+                        vmap.classify(pc, inj.reg, model)
+                    });
+                let dynamic = p.recording.site_class(&inj);
+                OracleSite { pos, inj, claim, dynamic, key: p.recording.memo_key(&inj) }
+            })
+            .collect()
+    }
+
+    /// The report tallies a site-by-site walk of one shard would make.
+    fn oracle_tally(
+        sites: &[OracleSite],
+        shard: Shard,
+        mode: StaticMode,
+        model: RfModel,
+    ) -> Classified {
+        let mut out = Classified::default();
+        let mut index_of: HashMap<GroupKey, usize> = HashMap::new();
+        for s in sites.iter().filter(|s| s.pos % shard.count as u64 == shard.index as u64) {
+            let claim =
+                if mode == StaticMode::Off { StaticSiteClass::Unknown } else { s.claim };
+            if mode == StaticMode::Prune && claim != StaticSiteClass::Unknown {
+                match claim {
+                    StaticSiteClass::StaticDead => out.pruned.dead += 1,
+                    StaticSiteClass::StaticOverwritten => out.pruned.overwritten += 1,
+                    _ => out.pruned.covered += 1,
+                }
+                continue;
+            }
+            out.covered += 1;
+            if mode == StaticMode::Validate && claim != StaticSiteClass::Unknown {
+                out.static_checked += 1;
+                if !static_claim_holds(claim, s.dynamic, model) {
+                    out.disagreement_count += 1;
+                    out.disagreements.push((s.pos, format!("{:?}", s.inj)));
+                }
+            }
+            match s.dynamic {
+                SiteClass::NeverFires => out.classes.never_fires += 1,
+                SiteClass::Invisible => out.classes.invisible += 1,
+                SiteClass::CorrectedInline => out.classes.corrected_inline += 1,
+                SiteClass::Simulated => out.classes.simulated += 1,
+            }
+            if let Some(key) = s.key {
+                let gi = *index_of.entry(key).or_insert_with(|| {
+                    let g = Group { rep: s.inj, members: 0, positions: Vec::new() };
+                    out.groups.push((key, g));
+                    out.groups.len() - 1
+                });
+                let g = &mut out.groups[gi].1;
+                g.members += 1;
+                if g.positions.len() < MAX_REPORTED_FAILURES {
+                    g.positions.push(s.pos);
+                }
+            }
+        }
+        out.disagreements.truncate(MAX_REPORTED_FAILURES);
+        out
+    }
+
+    #[test]
+    fn row_walk_matches_a_per_site_oracle() {
+        // MT trimmed to one block and two lanes per warp: every trigger,
+        // register and bit of the real recording, small enough for a
+        // per-site oracle yet several position chunks long.
+        for scheme in [SchemeId::Baseline, SchemeId::IGpu, SchemeId::Penny] {
+            let mut p = prepare("MT", scheme, true);
+            p.space = FaultSpace { blocks: 1, lanes: 2, ..p.space };
+            let total = p.space.total();
+            let model = rf_model(p.gpu_config.rf);
+            if scheme != SchemeId::Baseline {
+                // 33- and 39-bit codewords: rows straddle chunk bounds,
+                // and neither 2 nor 4 shards divides a row.
+                let bits = p.space.bits as u64;
+                assert!(total > 2 * CHUNK && !CHUNK.is_multiple_of(bits));
+                assert!(!bits.is_multiple_of(2));
+            }
+            for seq in [p.space.sequence(total), p.space.sequence(3001)] {
+                let sites = oracle_sites(&p, &seq);
+                for mode in [StaticMode::Off, StaticMode::Prune, StaticMode::Validate] {
+                    for count in [1, 2, 4] {
+                        for index in 0..count {
+                            let shard = Shard { index, count };
+                            let got = classify_sites(&p, &seq, shard, mode);
+                            let want = oracle_tally(&sites, shard, mode, model);
+                            let what = format!("{scheme:?} {mode:?} shard {index}/{count}");
+                            assert_eq!(got.covered, want.covered, "{what}");
+                            assert_eq!(got.classes, want.classes, "{what}");
+                            assert_eq!(got.pruned, want.pruned, "{what}");
+                            assert_eq!(got.static_checked, want.static_checked, "{what}");
+                            assert_eq!(got.disagreement_count, want.disagreement_count);
+                            let got_d: Vec<u64> =
+                                got.disagreements.iter().map(|d| d.0).collect();
+                            let want_d: Vec<u64> =
+                                want.disagreements.iter().map(|d| d.0).collect();
+                            assert_eq!(got_d, want_d, "{what}");
+                            assert_eq!(
+                                got.groups.len(),
+                                want.groups.len(),
+                                "{what}: forks"
+                            );
+                            for ((gk, g), (wk, w)) in got.groups.iter().zip(&want.groups) {
+                                assert_eq!(gk, wk, "{what}: group order");
+                                assert_eq!(g.rep, w.rep, "{what}: rep of {gk:?}");
+                                assert_eq!(
+                                    g.members, w.members,
+                                    "{what}: members of {gk:?}"
+                                );
+                                assert_eq!(g.positions, w.positions, "{what}: {gk:?}");
+                            }
+                        }
+                    }
+                }
+                // The sweep exercises what it claims to: replay groups
+                // (per bit on the unprotected RF), inline corrections
+                // under SECDED, and static pruning.
+                let pruned = oracle_tally(&sites, Shard::full(), StaticMode::Prune, model);
+                assert!(pruned.pruned.total() > 0, "{scheme:?}: nothing pruned");
+                let all = oracle_tally(&sites, Shard::full(), StaticMode::Off, model);
+                match scheme {
+                    SchemeId::IGpu => assert!(all.classes.corrected_inline > 0),
+                    _ => assert!(!all.groups.is_empty(), "{scheme:?}: no replay groups"),
+                }
+            }
         }
     }
 

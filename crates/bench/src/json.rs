@@ -14,8 +14,10 @@
 //! to the unsharded run even after a process boundary. Decoding treats
 //! the file as untrusted: besides the codec's own bounds, every `u32`
 //! field (fault-space dimensions, shard index and count, injection
-//! coordinates) is range-checked rather than truncated, so a corrupt
-//! file fails its shard attempt instead of merging wrong data. The
+//! coordinates) is range-checked rather than truncated, and the site
+//! counters must agree with one another and with the fault space, so a
+//! corrupt file fails its shard attempt instead of merging wrong data
+//! (or underflowing the merge's `skipped` arithmetic). The
 //! round-trip is pinned by the tests below and `tests/herd.rs`.
 
 use std::fmt::Write as _;
@@ -24,8 +26,8 @@ use penny_obs::json::{self, escape, Value};
 use penny_sim::Injection;
 
 use crate::conformance::{
-    ConformanceFailure, ConformanceReport, FaultSpace, ReplayWork, SiteClassCounts,
-    StaticPruneCounts,
+    checked_sum, ConformanceFailure, ConformanceReport, FaultSpace, ReplayWork,
+    SiteClassCounts, StaticPruneCounts,
 };
 use crate::runner::SchemeId;
 
@@ -148,6 +150,41 @@ fn intern_variant(name: &str) -> &'static str {
         .unwrap_or_else(|| Box::leak(name.to_owned().into_boxed_str()))
 }
 
+/// Rejects a report whose counters contradict each other or its fault
+/// space, so a merge never has to trust them: the space's site count
+/// fits `u64` and equals `total`; covered, skipped and pruned sites
+/// partition `total`; the prune buckets sum to `pruned_static` and the
+/// four classes to `covered`; and every subset count stays within its
+/// superset.
+fn check_counts(r: &ConformanceReport) -> Result<(), String> {
+    let total = r.space.checked_total().ok_or("space: site count overflows u64")?;
+    if r.total != total {
+        return Err(format!("total: {} but the space holds {total} sites", r.total));
+    }
+    if checked_sum(&[r.covered, r.skipped, r.pruned_static]) != Some(total) {
+        return Err("covered + skipped + pruned_static differs from total".into());
+    }
+    if r.static_prune.checked_total() != Some(r.pruned_static) {
+        return Err("static_prune: buckets do not sum to pruned_static".into());
+    }
+    let c = &r.classes;
+    if checked_sum(&[c.never_fires, c.invisible, c.corrected_inline, c.simulated])
+        != Some(r.covered)
+    {
+        return Err("classes: the four classes do not sum to covered".into());
+    }
+    for (field, part, whole) in [
+        ("spliced", c.spliced, c.simulated),
+        ("recovered", r.recovered, r.covered),
+        ("static_disagreements", r.static_disagreements, r.static_checked),
+    ] {
+        if part > whole {
+            return Err(format!("{field}: {part} exceeds its superset {whole}"));
+        }
+    }
+    Ok(())
+}
+
 /// Rebuilds one report from its parsed JSON object.
 fn report_from_value(f: &Value) -> Result<ConformanceReport, String> {
     let s = f.field("space")?;
@@ -206,7 +243,7 @@ fn report_from_value(f: &Value) -> Result<ConformanceReport, String> {
             reproducer: x.str("reproducer")?.to_string(),
         });
     }
-    Ok(ConformanceReport {
+    let r = ConformanceReport {
         workload: intern_workload(f.str("workload")?),
         variant: intern_variant(f.str("variant")?),
         space,
@@ -223,7 +260,9 @@ fn report_from_value(f: &Value) -> Result<ConformanceReport, String> {
         work,
         shard,
         failures,
-    })
+    };
+    check_counts(&r)?;
+    Ok(r)
 }
 
 /// Parses a shard report file written by [`reports_to_json`].
@@ -231,7 +270,8 @@ fn report_from_value(f: &Value) -> Result<ConformanceReport, String> {
 /// # Errors
 ///
 /// Rejects syntax errors, a missing/mismatched version tag, any
-/// structurally wrong report and any out-of-range `u32` field — the
+/// structurally wrong report, any out-of-range `u32` field and any
+/// report whose counters are inconsistent (see `check_counts`) — the
 /// herd treats all of these as a failed shard attempt (retryable),
 /// never as mergeable data.
 pub fn reports_from_json(s: &str) -> Result<Vec<ConformanceReport>, String> {
@@ -313,17 +353,92 @@ mod tests {
             let e = reports_from_json(&bad).expect_err(shard);
             assert!(e.contains(name), "{e}");
         }
-        let fields = ["blocks", "warps", "lanes", "regs", "bits"]
-            .into_iter()
-            .chain(["block", "warp", "lane", "reg", "bit"]);
+        let space = ["blocks", "warps", "lanes", "regs", "bits"];
+        let fields = space.into_iter().chain(["block", "warp", "lane", "reg", "bit"]);
         for key in fields {
             for huge in ["4294967296", "1844674407370955161"] {
                 let e = reports_from_json(&set_number(&json, key, huge)).expect_err(key);
                 assert!(e.starts_with(&format!("{key}:")), "{e}");
             }
-            // The largest u32 still decodes.
-            reports_from_json(&set_number(&json, key, "4294967295")).expect(key);
+            // The largest u32 passes the range check. An injection
+            // coordinate then decodes; a space dimension no longer
+            // matches the report's `total`, which the count check names.
+            let max = reports_from_json(&set_number(&json, key, "4294967295"));
+            if space.contains(&key) {
+                let e = max.expect_err(key);
+                assert!(e.starts_with("total:"), "{e}");
+            } else {
+                max.expect(key);
+            }
         }
+    }
+
+    /// A clean report's JSON with every `(key, value)` number replaced.
+    fn tampered(r: &ConformanceReport, edits: &[(&str, u64)]) -> String {
+        let mut json = reports_to_json(std::slice::from_ref(r));
+        for &(key, value) in edits {
+            json = set_number(&json, key, &value.to_string());
+        }
+        json
+    }
+
+    #[test]
+    fn inconsistent_counts_are_rejected_not_merged() {
+        let r = run_conformance("MT", SchemeId::Penny, 48);
+        assert!(r.covered > 0 && r.classes.invisible + r.classes.never_fires > 0);
+        let c = &r.classes;
+        let cases: Vec<(Vec<(&str, u64)>, &str)> = vec![
+            // More covered sites than the space holds: the merge's
+            // `skipped` subtraction used to underflow on this.
+            (vec![("covered", r.total + 5)], "covered + skipped"),
+            (vec![("total", r.total + 1)], "total:"),
+            (vec![("triggers", u64::MAX)], "space:"),
+            (vec![("skipped", r.skipped + 1)], "covered + skipped"),
+            // Shifting sites between classes keeps `covered`; adding
+            // one does not.
+            (vec![("invisible", c.invisible + 1)], "classes:"),
+            (vec![("dead", 1)], "static_prune:"),
+            (vec![("spliced", c.simulated + 1)], "spliced:"),
+            (vec![("recovered", r.covered + 1)], "recovered:"),
+            (vec![("static_disagreements", 1)], "static_disagreements:"),
+        ];
+        for (edits, want) in cases {
+            let e = reports_from_json(&tampered(&r, &edits)).expect_err(want);
+            assert!(e.starts_with(want), "{edits:?}: {e}");
+        }
+        // A consistent edit still decodes: a site moved from skipped to
+        // covered (as a never-firing one) keeps every identity.
+        if r.skipped > 0 {
+            let moved = [
+                ("covered", r.covered + 1),
+                ("skipped", r.skipped - 1),
+                ("never_fires", c.never_fires + 1),
+                ("recovered", r.recovered + 1),
+            ];
+            reports_from_json(&tampered(&r, &moved)).expect("consistent report");
+        }
+    }
+
+    #[test]
+    fn overlapping_shards_fail_the_merge_instead_of_underflowing() {
+        use crate::conformance::{merge_reports, MergeError};
+        // Two shard reports that each pass decoding but together cover
+        // more sites than the space: shard 1 claims shard 0's sites too.
+        let r = run_conformance("MT", SchemeId::Penny, 48);
+        let mut a = r.clone();
+        a.shard = (0, 2);
+        let mut b = r.clone();
+        b.shard = (1, 2);
+        b.covered = r.total - r.pruned_static;
+        b.skipped = 0;
+        b.classes.never_fires += r.total - r.pruned_static - r.covered;
+        b.recovered = b.covered;
+        let json = reports_to_json(&[a, b]);
+        let back = reports_from_json(&json).expect("each report is consistent");
+        assert_eq!(
+            merge_reports(&back).map(|m| m.covered),
+            Err(MergeError::Overcount { field: "covered" })
+        );
     }
 
     #[test]

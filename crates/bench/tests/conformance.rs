@@ -284,14 +284,16 @@ fn sharded_static_prune_reports_merge_byte_identically() {
 /// The static-pruning acceptance run recorded in `EXPERIMENTS.md`: the
 /// full SGEMM/BoltGlobal fault space (~577M sites, previously
 /// sample-only) swept exhaustively with static pruning on — every site
-/// either statically answered or replayed to recovery. Run with
+/// either statically answered or replayed to recovery. Row-wise
+/// classification makes it about a second in release, so
+/// `scripts/verify.sh` gates on it:
 ///
 /// ```text
 /// cargo test --release -p penny-bench --test conformance -- \
 ///     --ignored exhaustive_sgemm --nocapture
 /// ```
 #[test]
-#[ignore = "exhaustive 577M-site sweep; run explicitly in release mode"]
+#[ignore = "exhaustive 577M-site sweep; scripts/verify.sh runs it in release mode"]
 fn exhaustive_sgemm_bolt_global_with_static_prune() {
     let r =
         run_conformance_static("SGEMM", SchemeId::BoltGlobal, u64::MAX, StaticMode::Prune);

@@ -483,9 +483,21 @@ fn put_trace(buf: &mut Vec<u8>, tr: &WarpTrace) {
     }
 }
 
-fn get_trace(r: &mut Reader<'_>, num_regs: usize) -> Result<WarpTrace, LoadError> {
+/// Reads one warp trace, rejecting any trace the site classifiers
+/// could not index safely: more than 32 live lanes, a cell whose
+/// accesses are unsorted or lie past the warp's dynamic length, or a
+/// PC/mask stream whose length is not that dynamic length or whose PCs
+/// fall outside the `num_pcs`-instruction program.
+fn get_trace(
+    r: &mut Reader<'_>,
+    num_regs: usize,
+    num_pcs: usize,
+) -> Result<WarpTrace, LoadError> {
     let final_executed = r.u64()?;
     let width = r.u32()?;
+    if width > 32 {
+        return Err(LoadError::Malformed(format!("warp trace has {width} lanes")));
+    }
     let ncells = r.len(8)?;
     if ncells != 32 * num_regs {
         return Err(LoadError::Malformed(format!(
@@ -504,13 +516,22 @@ fn get_trace(r: &mut Reader<'_>, num_regs: usize) -> Result<WarpTrace, LoadError
         let n = r.len(9)?;
         let raw = r.take(9 * n)?;
         flat.reserve(n);
+        let mut prev = 0;
         for c in raw.chunks_exact(9) {
             let read = match c[8] {
                 0 => false,
                 1 => true,
                 b => return Err(LoadError::Malformed(format!("invalid bool byte {b}"))),
             };
-            flat.push(Access { idx: u64::from_le_bytes(c[..8].try_into().unwrap()), read });
+            let idx = u64::from_le_bytes(c[..8].try_into().unwrap());
+            if idx < prev || idx >= final_executed {
+                return Err(LoadError::Malformed(format!(
+                    "access at {idx} out of order or past the warp's {final_executed} \
+                     instructions"
+                )));
+            }
+            prev = idx;
+            flat.push(Access { idx, read });
         }
         let end = u32::try_from(flat.len())
             .map_err(|_| LoadError::Malformed("access trace exceeds u32 range".into()))?;
@@ -520,6 +541,14 @@ fn get_trace(r: &mut Reader<'_>, num_regs: usize) -> Result<WarpTrace, LoadError
     let pcs = r.u32_vec(npcs)?;
     let nmasks = r.len(4)?;
     let masks = r.u32_vec(nmasks)?;
+    if npcs as u64 != final_executed || nmasks as u64 != final_executed {
+        return Err(LoadError::Malformed(format!(
+            "warp trace has {npcs} PCs and {nmasks} masks for {final_executed} instructions"
+        )));
+    }
+    if let Some(pc) = pcs.iter().find(|&&pc| pc as usize >= num_pcs) {
+        return Err(LoadError::Malformed(format!("warp trace PC {pc} past the program")));
+    }
     Ok(WarpTrace::from_csr(offsets, flat, final_executed, width, pcs, masks))
 }
 
@@ -573,13 +602,12 @@ impl Recording {
             }
         }
 
-        let mut keys: Vec<(u32, u32)> = self.accesses.keys().copied().collect();
-        keys.sort_unstable();
-        put_u64(&mut body, keys.len() as u64);
-        for k in keys {
-            put_u32(&mut body, k.0);
-            put_u32(&mut body, k.1);
-            put_trace(&mut body, &self.accesses[&k]);
+        let traces: Vec<_> = self.warp_traces().collect();
+        put_u64(&mut body, traces.len() as u64);
+        for (block, warp, tr) in traces {
+            put_u32(&mut body, block);
+            put_u32(&mut body, warp);
+            put_trace(&mut body, tr);
         }
 
         put_global(&mut body, &mut table, &self.final_global);
@@ -667,9 +695,15 @@ impl Recording {
             )));
         }
         let warps_per_block = r.u32()?;
-        if warps_per_block != dims.threads_per_block().div_ceil(32) {
+        let (Some(threads_per_block), Some(grid_blocks)) =
+            (dims.block.0.checked_mul(dims.block.1), dims.grid.0.checked_mul(dims.grid.1))
+        else {
+            return Err(LoadError::Malformed("launch dimensions overflow".into()));
+        };
+        if warps_per_block != threads_per_block.div_ceil(32) {
             return Err(LoadError::Malformed("warps-per-block disagrees with dims".into()));
         }
+        let wpb = warps_per_block as usize;
         let final_stats = get_stats(&mut r)?;
         let counters =
             RecordingCounters { snapshots: r.u64()?, total_warp_insts: r.u64()? };
@@ -688,6 +722,11 @@ impl Recording {
             let nblocks = r.len(4)?;
             let blocks = r.u32_vec(nblocks)?;
             for &b in &blocks {
+                if b >= grid_blocks {
+                    return Err(LoadError::Malformed(format!(
+                        "block {b} outside the {grid_blocks}-block grid"
+                    )));
+                }
                 if block_wave.insert(b, k).is_some() {
                     return Err(LoadError::Malformed(format!(
                         "block {b} scheduled in two waves"
@@ -706,6 +745,12 @@ impl Recording {
                 let global = get_global(&mut r, &pages)?;
                 let stats = get_stats(&mut r)?;
                 let nexec = r.len(8)?;
+                if Some(nexec) != blocks.len().checked_mul(wpb) {
+                    return Err(LoadError::Malformed(format!(
+                        "snapshot tracks {nexec} warps, its wave has {}",
+                        blocks.len() * wpb
+                    )));
+                }
                 let executed = r.u64_vec(nexec)?;
                 snaps.push(Snap { state, global, stats, executed });
             }
@@ -721,13 +766,35 @@ impl Recording {
             });
         }
 
+        // Every block of the grid runs in exactly one wave, and every
+        // warp of every block has exactly one trace — which also bounds
+        // the dense trace index by the file size.
+        if block_wave.len() != grid_blocks as usize {
+            return Err(LoadError::Malformed(format!(
+                "{} of {grid_blocks} blocks scheduled",
+                block_wave.len()
+            )));
+        }
         let ntraces = r.len(8)?;
-        let mut accesses = HashMap::with_capacity(ntraces);
+        if Some(ntraces) != block_wave.len().checked_mul(wpb) {
+            return Err(LoadError::Malformed(format!(
+                "{ntraces} warp traces for {} blocks of {wpb} warps",
+                block_wave.len()
+            )));
+        }
+        let mut traces: Vec<Option<WarpTrace>> = (0..ntraces).map(|_| None).collect();
         for _ in 0..ntraces {
-            let key = (r.u32()?, r.u32()?);
-            let trace = get_trace(&mut r, num_regs)?;
-            if accesses.insert(key, trace).is_some() {
-                return Err(LoadError::Malformed(format!("duplicate warp trace {key:?}")));
+            let (block, warp) = (r.u32()?, r.u32()?);
+            if block >= grid_blocks || warp >= warps_per_block {
+                return Err(LoadError::Malformed(format!(
+                    "warp trace ({block}, {warp}) names no scheduled warp"
+                )));
+            }
+            let trace = get_trace(&mut r, num_regs, program.decoded.len())?;
+            if traces[block as usize * wpb + warp as usize].replace(trace).is_some() {
+                return Err(LoadError::Malformed(format!(
+                    "duplicate warp trace ({block}, {warp})"
+                )));
             }
         }
 
@@ -741,7 +808,7 @@ impl Recording {
             program,
             waves,
             block_wave,
-            accesses,
+            traces,
             num_regs,
             warps_per_block,
             final_stats,

@@ -293,7 +293,10 @@ pub struct Recording {
     pub(crate) waves: Vec<WaveRec>,
     /// Linear block index -> position in `waves`.
     pub(crate) block_wave: HashMap<u32, usize>,
-    pub(crate) accesses: HashMap<(u32, u32), WarpTrace>,
+    /// Per-warp access traces, dense by `block * warps_per_block +
+    /// warp` (see [`Recording::trace`]); every warp of every block
+    /// has one.
+    pub(crate) traces: Vec<Option<WarpTrace>>,
     pub(crate) num_regs: usize,
     pub(crate) warps_per_block: u32,
     pub(crate) final_stats: RunStats,
@@ -542,8 +545,13 @@ impl Recording {
                 snaps: rec.snaps,
             });
         }
-        let accesses =
-            builders.into_iter().map(|(k, b)| (k, b.finish())).collect::<HashMap<_, _>>();
+        let warps_per_block = launch.dims.threads_per_block().div_ceil(32);
+        let wpb = warps_per_block as usize;
+        let mut traces: Vec<Option<WarpTrace>> =
+            (0..launch.dims.blocks() as usize * wpb).map(|_| None).collect();
+        for ((block, warp), b) in builders {
+            traces[block as usize * wpb + warp as usize] = Some(b.finish());
+        }
         let mut final_stats = stats;
         final_stats.cycles = sm_cycles.iter().copied().max().unwrap_or(0);
         let counters = RecordingCounters {
@@ -557,9 +565,9 @@ impl Recording {
             program,
             waves,
             block_wave,
-            accesses,
+            traces,
             num_regs,
-            warps_per_block: launch.dims.threads_per_block().div_ceil(32),
+            warps_per_block,
             final_stats,
             final_global: g,
             counters,
@@ -587,11 +595,20 @@ impl Recording {
         self.counters
     }
 
+    /// The access trace of warp `warp` of block `block`, if it ran.
+    pub(crate) fn trace(&self, block: u32, warp: u32) -> Option<&WarpTrace> {
+        if warp >= self.warps_per_block {
+            return None;
+        }
+        let i = block as usize * self.warps_per_block as usize + warp as usize;
+        self.traces.get(i)?.as_ref()
+    }
+
     /// Classifies an injection site against the access trace; returns
     /// the class and, for [`SiteClass::Simulated`], the victim warp's
     /// dynamic index of the first read that observes the flip.
     fn classify(&self, inj: &Injection) -> (SiteClass, Option<u64>) {
-        let Some(tr) = self.accesses.get(&(inj.block, inj.warp)) else {
+        let Some(tr) = self.trace(inj.block, inj.warp) else {
             return (SiteClass::NeverFires, None);
         };
         let t = inj.after_warp_insts;
@@ -626,7 +643,7 @@ impl Recording {
     /// never-firing sites and for lanes outside the mask — those must
     /// be classified dynamically.
     pub fn static_point(&self, inj: &Injection) -> Option<usize> {
-        let tr = self.accesses.get(&(inj.block, inj.warp))?;
+        let tr = self.trace(inj.block, inj.warp)?;
         let t = inj.after_warp_insts;
         if inj.lane >= tr.width
             || t >= tr.final_executed
@@ -650,7 +667,7 @@ impl Recording {
         reg: u32,
         from: u64,
     ) -> Option<(u64, bool)> {
-        let tr = self.accesses.get(&(block, warp))?;
+        let tr = self.trace(block, warp)?;
         if lane >= tr.width || reg as usize >= self.num_regs {
             return None;
         }
@@ -663,17 +680,21 @@ impl Recording {
     /// mask per dynamic instruction), for analytic site accounting and
     /// the static/dynamic agreement oracle.
     pub fn warp_streams(&self) -> impl Iterator<Item = WarpStream<'_>> {
-        let mut keys: Vec<&(u32, u32)> = self.accesses.keys().collect();
-        keys.sort();
-        keys.into_iter().map(|k| {
-            let tr = &self.accesses[k];
-            WarpStream {
-                block: k.0,
-                warp: k.1,
-                width: tr.width,
-                pcs: &tr.pcs,
-                masks: &tr.masks,
-            }
+        self.warp_traces().map(|(block, warp, tr)| WarpStream {
+            block,
+            warp,
+            width: tr.width,
+            pcs: &tr.pcs,
+            masks: &tr.masks,
+        })
+    }
+
+    /// Every recorded warp trace with its `(block, warp)`, in ascending
+    /// `(block, warp)` order.
+    pub(crate) fn warp_traces(&self) -> impl Iterator<Item = (u32, u32, &WarpTrace)> {
+        let wpb = self.warps_per_block.max(1) as usize;
+        self.traces.iter().enumerate().filter_map(move |(i, tr)| {
+            tr.as_ref().map(|tr| ((i / wpb) as u32, (i % wpb) as u32, tr))
         })
     }
 

@@ -220,3 +220,65 @@ fn serialization_is_deterministic() {
         "reload then re-serialize must be a fixed point"
     );
 }
+
+/// Drives every site classifier over the sites a loaded recording can
+/// be asked about: each warp it reports plus a missing one, lanes and
+/// triggers at and just past the stream's bounds, registers in and out
+/// of range. A structurally unsound recording panics here.
+fn exercise_classifiers(rec: &Recording) {
+    let mut warps: Vec<(u32, u32, u32, Vec<u64>)> = rec
+        .warp_streams()
+        .map(|s| {
+            let (pcs, masks) = (s.pcs.len() as u64, s.masks.len() as u64);
+            (s.block, s.warp, s.width, vec![0, 1, pcs / 2, pcs, pcs + 1, masks])
+        })
+        .collect();
+    warps.push((u32::MAX, 0, 32, vec![0, 1]));
+    for (block, warp, width, triggers) in warps {
+        for lane in [0, 1, width.saturating_sub(1), width, 31, 32] {
+            for &after_warp_insts in &triggers {
+                for reg in [0, 5, 14, 15, 16, 64] {
+                    let inj =
+                        Injection { block, warp, lane, reg, bit: 3, after_warp_insts };
+                    let _ = rec.static_point(&inj);
+                    let _ = rec.site_class(&inj);
+                    let _ = rec.memo_key(&inj);
+                    let _ = rec.first_access(block, warp, lane, reg, after_warp_insts);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn corrupted_recordings_are_rejected_or_answer_without_panicking() {
+    let r = rig(Protection::Penny);
+    let rec = Recording::record(&r.gpu_config, &r.protected, &r.launch, &r.seeded)
+        .expect("record");
+    let bytes = rec.serialize(FINGERPRINT);
+    exercise_classifiers(&rec);
+    let mut loaded = 0usize;
+    let mut probe = |damaged: &[u8]| {
+        if let Ok(rec) =
+            Recording::deserialize(damaged, FINGERPRINT, &r.gpu_config, &r.protected)
+        {
+            exercise_classifiers(&rec);
+            loaded += 1;
+        }
+    };
+    // Every prefix at a stride: truncation anywhere fails typed.
+    for cut in (0..bytes.len()).step_by(61) {
+        probe(&bytes[..cut]);
+    }
+    // Single-byte flips of the low and the high bit at a stride. The
+    // stride is odd, so the flips walk every byte offset of the fixed
+    // 4- and 8-byte fields.
+    for (i, flip) in (0..bytes.len()).step_by(13).zip([0x01u8, 0x80].into_iter().cycle()) {
+        let mut damaged = bytes.clone();
+        damaged[i] ^= flip;
+        probe(&damaged);
+    }
+    // Most flips land in page data or counters and still load; the
+    // sweep must have exercised loaded mutants, not only rejections.
+    assert!(loaded > 0, "no damaged recording loaded");
+}

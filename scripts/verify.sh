@@ -34,9 +34,12 @@
 #   6c. the static-vulnerability gates: the translation-validation
 #      agreement sweep (deep-budget MT/SGEMM under every protected
 #      scheme plus the exhaustive MT fault space, validate mode — zero
-#      static/dynamic disagreements), and the prune-rate floor
-#      (penny-eval vulnerability --min-prune: at least 50% of the MT
-#      fault space must be statically answered);
+#      static/dynamic disagreements), the exhaustive SGEMM/BoltGlobal
+#      sweep with static pruning (all ~577M sites answered, zero
+#      failures), a sharded exhaustive sweep (shard 1/2 must answer
+#      every site it owns), and the prune-rate floor (penny-eval
+#      vulnerability --min-prune: at least 50% of the MT fault space
+#      must be statically answered);
 #   7. the observability layer: penny-prof over all 25 workloads with
 #      every emitted JSONL span schema-validated, plus the neutrality
 #      suite (figures/BENCH/conformance byte-identical with the
@@ -130,6 +133,18 @@ echo "==> static vulnerability: translation-validation agreement sweep"
 # the snapshot/replay engine. One disagreement fails the gate.
 cargo run -q --release -p penny-bench --bin penny-eval -- \
     static-agreement --budget 2000
+
+echo "==> static vulnerability: full SGEMM space, exhaustive with static pruning"
+# All ~577M SGEMM/BoltGlobal sites, each statically answered or replayed
+# to recovery (about a second in release with row-wise classification).
+cargo test --release -q -p penny-bench --test conformance -- \
+    --ignored exhaustive_sgemm_bolt_global_with_static_prune
+
+echo "==> static vulnerability: sharded exhaustive sweep answers its own sites"
+# A shard skips the sites other shards own; it must still answer every
+# site it owns and exit 0.
+cargo run -q --release -p penny-bench --bin penny-eval -- \
+    --static-prune --shard 1/2 conformance-exhaustive > /dev/null
 
 echo "==> static vulnerability: prune-rate floor (MT >= 50% classified)"
 cargo run -q --release -p penny-bench --bin penny-eval -- \
