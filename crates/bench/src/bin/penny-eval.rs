@@ -79,10 +79,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use penny_bench::conformance::Shard;
+use penny_bench::conformance::{Shard, Sweep};
 use penny_bench::{conformance, figures, recstore, report, SchemeId, StaticMode};
 use penny_obs::MemRecorder;
 use penny_sim::GpuConfig;
+use penny_workloads::Workload;
 
 fn main() {
     let mut jobs: usize = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -93,7 +94,7 @@ fn main() {
     let mut min_speedup: Option<f64> = None;
     let mut static_mode = StaticMode::Off;
     let mut min_prune: Option<f64> = None;
-    let mut workloads: Option<Vec<String>> = None;
+    let mut workloads: Option<Vec<Workload>> = None;
     let mut schemes: Option<Vec<SchemeId>> = None;
     let mut report_json: Option<String> = None;
     let mut obs_jsonl: Option<String> = None;
@@ -122,33 +123,9 @@ fn main() {
             min_prune =
                 Some(v.parse().unwrap_or_else(|_| die("--min-prune needs a number")));
         } else if let Some(v) = flag("--workloads") {
-            workloads = Some(
-                v.split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|abbr| {
-                        if penny_workloads::by_abbr(abbr).is_none() {
-                            die(&format!("--workloads: unknown workload {abbr:?}"));
-                        }
-                        abbr.to_string()
-                    })
-                    .collect(),
-            );
+            workloads = Some(penny_bench::parse_workloads(&v).unwrap_or_else(|e| die(&e)));
         } else if let Some(v) = flag("--schemes") {
-            schemes = Some(
-                v.split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|tok| {
-                        SchemeId::from_token(tok).unwrap_or_else(|| {
-                            die(&format!(
-                                "--schemes: unknown scheme {tok:?} (tokens: Baseline, \
-                                 IGpu, BoltGlobal, BoltAuto, Penny)"
-                            ))
-                        })
-                    })
-                    .collect(),
-            );
+            schemes = Some(penny_bench::parse_schemes(&v).unwrap_or_else(|e| die(&e)));
         } else if let Some(v) = flag("--report-json") {
             report_json = Some(v);
         } else if let Some(v) = flag("--recording-store") {
@@ -178,27 +155,19 @@ fn main() {
         penny_bench::obs::set_recorder(rec.clone());
         rec
     });
-    // The deep-sweep pairs a restricted conformance run covers; `None`
-    // means the full built-in matrix.
-    let selection: Option<Vec<(&str, SchemeId)>> =
-        if workloads.is_some() || schemes.is_some() {
-            let ws: Vec<&str> = match &workloads {
-                Some(w) => w.iter().map(String::as_str).collect(),
-                None => DEEP_SWEEP_WORKLOADS.to_vec(),
-            };
-            let ss: &[SchemeId] = match &schemes {
-                Some(s) => s,
-                None => &DEEP_SWEEP_SCHEMES,
-            };
-            Some(ws.iter().flat_map(|&w| ss.iter().map(move |&s| (w, s))).collect())
-        } else {
-            None
-        };
     // A restricted run is a shard process: the figure-matrix prewarm
     // (5 schemes x every registered workload) would dwarf its real work.
-    if selection.is_none() {
+    if workloads.is_none() && schemes.is_none() {
         prewarm();
     }
+    // The `conformance` matrix: the deep sweep, or what the flags name.
+    let deep = sweeps(
+        &workloads.unwrap_or_else(|| registry(&DEEP_SWEEP_WORKLOADS)),
+        schemes.as_deref().unwrap_or(&DEEP_SWEEP_SCHEMES),
+        budget,
+        static_mode,
+        shard,
+    );
 
     let targets: Vec<&str> = if targets.is_empty() || targets.iter().any(|a| a == "all") {
         vec![
@@ -244,7 +213,10 @@ fn main() {
             ),
             "multibit" => print!(
                 "{}",
-                penny_bench::campaign::render_multibit(&penny_bench::multibit_sweep(100))
+                penny_bench::campaign::render_multibit(&penny_bench::multibit_sweep(
+                    100,
+                    Shard::full()
+                ))
             ),
             "bench-json" => bench_json(jobs),
             "conformance" => {
@@ -255,7 +227,7 @@ fn main() {
                     min_speedup,
                     jobs,
                     mode: static_mode,
-                    pairs: selection.as_deref().unwrap_or(&DEEP_SWEEP),
+                    sweeps: &deep,
                     report_json: report_json.as_deref(),
                 });
             }
@@ -291,17 +263,32 @@ const DEEP_SWEEP_WORKLOADS: [&str; 4] = ["MT", "SPMV", "SGEMM", "BFS"];
 const DEEP_SWEEP_SCHEMES: [SchemeId; 4] =
     [SchemeId::Penny, SchemeId::BoltGlobal, SchemeId::BoltAuto, SchemeId::IGpu];
 
-/// The deep-sweep (workload, scheme) matrix the conformance subcommand
-/// and throughput gate cover.
-const DEEP_SWEEP: [(&str, SchemeId); 16] = {
-    let mut pairs = [("", SchemeId::Penny); 16];
-    let mut i = 0;
-    while i < 16 {
-        pairs[i] = (DEEP_SWEEP_WORKLOADS[i / 4], DEEP_SWEEP_SCHEMES[i % 4]);
-        i += 1;
+/// The registry workloads behind a built-in abbreviation list.
+fn registry(abbrs: &[&str]) -> Vec<Workload> {
+    penny_bench::parse_workloads(&abbrs.join(",")).unwrap_or_else(|e| die(&e))
+}
+
+/// One sweep per (workload, scheme) pair, workload-major.
+fn sweeps(
+    workloads: &[Workload],
+    schemes: &[SchemeId],
+    budget: u64,
+    mode: StaticMode,
+    shard: Shard,
+) -> Vec<Sweep> {
+    let pair =
+        |w: &Workload, scheme| Sweep { workload: w.clone(), scheme, budget, mode, shard };
+    workloads.iter().flat_map(|w| schemes.iter().map(move |&s| pair(w, s))).collect()
+}
+
+/// The report-header tag of a static mode.
+fn mode_tag(mode: StaticMode) -> &'static str {
+    match mode {
+        StaticMode::Off => "",
+        StaticMode::Prune => ", static-prune",
+        StaticMode::Validate => ", static-validate",
     }
-    pairs
-};
+}
 
 /// Everything the `conformance` subcommand consumes.
 struct ConformanceArgs<'a> {
@@ -311,8 +298,8 @@ struct ConformanceArgs<'a> {
     min_speedup: Option<f64>,
     jobs: usize,
     mode: StaticMode,
-    /// The (workload, scheme) matrix to sweep.
-    pairs: &'a [(&'a str, SchemeId)],
+    /// The sweeps to run, one report each.
+    sweeps: &'a [Sweep],
     /// Where to write the reports as JSON (always written, even on
     /// failures — the orchestrator merges whatever this shard proved).
     report_json: Option<&'a str>,
@@ -323,25 +310,19 @@ struct ConformanceArgs<'a> {
 /// whether any site failed (the caller exits nonzero *after* the
 /// report JSON and observability spans are flushed).
 fn conformance_cmd(a: &ConformanceArgs) -> bool {
-    conformance::prewarm_static(a.pairs, a.mode != StaticMode::Off);
+    conformance::prewarm(a.sweeps);
     println!(
         "== Conformance deep sweep (budget {}, shard {}/{}{}) ==",
         a.budget,
         a.shard.index,
         a.shard.count,
-        match a.mode {
-            StaticMode::Off => "",
-            StaticMode::Prune => ", static-prune",
-            StaticMode::Validate => ", static-validate",
-        }
+        mode_tag(a.mode)
     );
     let mut failed = false;
-    let mut reports = Vec::with_capacity(a.pairs.len());
-    for &(abbr, scheme) in a.pairs {
+    let mut reports = Vec::with_capacity(a.sweeps.len());
+    for sweep in a.sweeps {
         let t = Instant::now();
-        let r = conformance::run_conformance_static_sharded(
-            abbr, scheme, a.budget, a.mode, a.shard,
-        );
+        let r = sweep.run();
         let wall = t.elapsed().as_secs_f64();
         print!("{}", conformance::render_report(&r));
         println!(
@@ -372,10 +353,16 @@ fn conformance_cmd(a: &ConformanceArgs) -> bool {
 /// deep-sweep pairs and writes `BENCH_eval.json`; enforces
 /// `--min-speedup` when given.
 fn conformance_bench_json(budget: u64, min_speedup: Option<f64>, jobs: usize) {
-    let pairs = [("MT", SchemeId::Penny), ("SGEMM", SchemeId::Penny)];
+    let pairs = sweeps(
+        &registry(&["MT", "SGEMM"]),
+        &[SchemeId::Penny],
+        budget,
+        StaticMode::Off,
+        Shard::full(),
+    );
     let mut rows = Vec::new();
-    for (abbr, scheme) in pairs {
-        let b = conformance::bench_throughput(abbr, scheme, budget, 3, 48);
+    for sweep in &pairs {
+        let b = conformance::bench_throughput(sweep, 3, 48);
         eprintln!(
             "conformance-bench: {} {}: {:.0} sites/s forked vs {:.1} sites/s cold \
              ({:.1}x, best of 3)",
@@ -432,21 +419,13 @@ fn conformance_exhaustive(shard: Shard, mode: StaticMode) {
         "== Conformance exhaustive sweep (full fault spaces, shard {}/{}{}) ==",
         shard.index,
         shard.count,
-        match mode {
-            StaticMode::Off => "",
-            StaticMode::Prune => ", static-prune",
-            StaticMode::Validate => ", static-validate",
-        }
+        mode_tag(mode)
     );
-    for abbr in ["MT", "STC", "FW", "BS"] {
+    let workloads = registry(&["MT", "STC", "FW", "BS"]);
+    for sweep in sweeps(&workloads, &[SchemeId::Penny], u64::MAX, mode, shard) {
+        let abbr = sweep.workload.abbr;
         let t = Instant::now();
-        let r = conformance::run_conformance_static_sharded(
-            abbr,
-            SchemeId::Penny,
-            u64::MAX,
-            mode,
-            shard,
-        );
+        let r = sweep.run();
         let wall = t.elapsed().as_secs_f64();
         // Every position this shard owns is answered; the other shards'
         // positions are legitimately skipped here.
@@ -485,7 +464,7 @@ fn vulnerability_cmd(min_prune: Option<f64>) {
     let mut mt_penny_rate = None;
     for w in penny_workloads::all() {
         for scheme in SCHEMES {
-            let p = penny_bench::static_profile(w.abbr, scheme);
+            let p = penny_bench::static_profile(&w, scheme);
             print!("{}", penny_bench::render_profile(&p, 0));
             if w.abbr == "MT" && scheme == SchemeId::Penny {
                 mt_penny_rate = Some(p.classified_rate());
@@ -493,8 +472,8 @@ fn vulnerability_cmd(min_prune: Option<f64>) {
         }
     }
     println!("== Per-register residual exposure (deep-sweep workloads, Penny) ==");
-    for abbr in ["MT", "SPMV", "SGEMM", "BFS"] {
-        let p = penny_bench::static_profile(abbr, SchemeId::Penny);
+    for w in registry(&DEEP_SWEEP_WORKLOADS) {
+        let p = penny_bench::static_profile(&w, SchemeId::Penny);
         print!("{}", penny_bench::render_profile(&p, 4));
     }
     if let Some(min) = min_prune {
@@ -516,38 +495,28 @@ fn vulnerability_cmd(min_prune: Option<f64>) {
 /// exhaustive validation of the full MT fault space. Every statically
 /// classified site is also replayed; one contradiction fails the run.
 fn static_agreement(budget: u64) {
-    let pairs: Vec<(&str, SchemeId)> = ["MT", "SGEMM"]
-        .into_iter()
-        .flat_map(|w| {
-            [SchemeId::Penny, SchemeId::BoltGlobal, SchemeId::BoltAuto, SchemeId::IGpu]
-                .into_iter()
-                .map(move |s| (w, s))
-        })
-        .collect();
-    conformance::prewarm_static(&pairs, true);
+    let deep = sweeps(
+        &registry(&["MT", "SGEMM"]),
+        &DEEP_SWEEP_SCHEMES,
+        budget,
+        StaticMode::Validate,
+        Shard::full(),
+    );
+    conformance::prewarm(&deep);
     println!("== Static/dynamic agreement sweep (budget {budget}, validate mode) ==");
     let mut checked = 0u64;
-    for &(abbr, scheme) in &pairs {
-        let r =
-            conformance::run_conformance_static(abbr, scheme, budget, StaticMode::Validate);
+    let mut check = |sweep: &Sweep| {
+        let r = sweep.run();
         print!("{}", conformance::render_report(&r));
         checked += r.static_checked;
         if !r.failures.is_empty() || r.static_disagreements > 0 {
             std::process::exit(1);
         }
-    }
+    };
+    deep.iter().for_each(&mut check);
     println!("== Exhaustive agreement sweep: full MT fault space ==");
-    let r = conformance::run_conformance_static(
-        "MT",
-        SchemeId::Penny,
-        u64::MAX,
-        StaticMode::Validate,
-    );
-    print!("{}", conformance::render_report(&r));
-    checked += r.static_checked;
-    if !r.failures.is_empty() || r.static_disagreements > 0 {
-        std::process::exit(1);
-    }
+    // `deep[0]` is MT under Penny.
+    check(&Sweep { budget: u64::MAX, ..deep[0].clone() });
     println!("static-agreement: {checked} static claims cross-examined, 0 disagreements");
 }
 
@@ -557,7 +526,7 @@ fn campaign_cmd(runs: u32, shard: Shard) {
         "== Multi-bit EDC campaign ({runs} runs/cell, shard {}/{}) ==",
         shard.index, shard.count
     );
-    let results = penny_bench::campaign::multibit_sweep_sharded(runs, shard);
+    let results = penny_bench::multibit_sweep(runs, shard);
     print!("{}", penny_bench::campaign::render_multibit(&results));
 }
 

@@ -70,29 +70,13 @@ fn main() {
             }
         };
         if let Some(v) = flag("--workloads") {
-            spec.workloads = v
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(String::from)
-                .collect();
+            let workloads = penny_bench::parse_workloads(&v).unwrap_or_else(|e| die(&e));
+            spec.workloads = workloads.iter().map(|w| w.abbr.to_string()).collect();
         } else if let Some(v) = flag("--schemes") {
-            spec.schemes = v
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(|tok| {
-                    SchemeId::from_token(tok).unwrap_or_else(|| {
-                        die(&format!(
-                            "--schemes: unknown scheme {tok:?} (tokens: Baseline, IGpu, \
-                             BoltGlobal, BoltAuto, Penny)"
-                        ))
-                    })
-                })
-                .collect();
+            spec.schemes = penny_bench::parse_schemes(&v).unwrap_or_else(|e| die(&e));
         } else if let Some(v) = flag("--budget") {
             spec.budget =
-                v.parse().unwrap_or_else(|_| die("--budget needs a non-negative integer"));
+                v.parse().unwrap_or_else(|_| die("--budget needs a positive integer"));
         } else if let Some(v) = flag("--shards") {
             spec.shards =
                 v.parse().unwrap_or_else(|_| die("--shards needs a positive integer"));
@@ -120,12 +104,6 @@ fn main() {
         } else {
             die(&format!("unknown argument {a:?}"));
         }
-    }
-    if spec.shards == 0 {
-        die("--shards needs a positive integer");
-    }
-    if spec.jobs_per_shard == 0 {
-        die("--jobs needs a positive integer");
     }
 
     eprintln!(

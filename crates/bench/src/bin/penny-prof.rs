@@ -364,7 +364,7 @@ fn main() {
         for (w, p) in workloads.iter().zip(&mut profiles) {
             let rec = std::sync::Arc::new(MemRecorder::new());
             penny_bench::obs::set_recorder(rec.clone());
-            let report = penny_bench::conformance::run_conformance(w.abbr, scheme, budget);
+            let report = penny_bench::Sweep::new(w.clone(), scheme, budget).run();
             penny_bench::obs::clear_recorder();
             if !report.failures.is_empty() {
                 die(&format!(

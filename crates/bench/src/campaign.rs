@@ -40,19 +40,14 @@ pub struct CampaignResult {
     pub sdc: u32,
 }
 
-/// Runs a `k`-bit fault campaign over the matrix-transpose workload
-/// (bit-exact integer output) under the given EDC scheme.
-pub fn edc_campaign(scheme: Scheme, flips: u32, runs: u32, seed: u64) -> CampaignResult {
-    edc_campaign_sharded(scheme, flips, runs, seed, Shard::full())
-}
-
-/// One shard of a `k`-bit fault campaign: every shard draws the **full**
-/// RNG stream (so run `i` sees identical fault parameters regardless of
-/// the partition) but simulates only runs `i % shard.count ==
-/// shard.index`. The returned `runs` counts simulated runs only, so
-/// [`merge_campaigns`] over all shards reproduces the unsharded result
-/// exactly.
-pub fn edc_campaign_sharded(
+/// Runs one shard of a `k`-bit fault campaign over the matrix-transpose
+/// workload (bit-exact integer output) under the given EDC scheme. Every
+/// shard draws the **full** RNG stream (so run `i` sees identical fault
+/// parameters regardless of the partition) but simulates only runs
+/// `i % shard.count == shard.index`. The returned `runs` counts
+/// simulated runs only, so [`merge_campaigns`] over all shards
+/// reproduces the [`Shard::full`] result exactly.
+pub fn edc_campaign(
     scheme: Scheme,
     flips: u32,
     runs: u32,
@@ -194,28 +189,17 @@ pub fn merge_campaigns(results: &[CampaignResult]) -> Result<CampaignResult, Mer
     Ok(merged)
 }
 
-/// The full Table-1-style sweep: each scheme against 1..=3-bit faults.
-pub fn multibit_sweep(runs: u32) -> Vec<CampaignResult> {
-    multibit_sweep_sharded(runs, Shard::full())
-}
-
-/// One shard of the Table-1-style sweep: every campaign in the matrix
-/// runs with the same seeds as the unsharded sweep, simulating only this
-/// shard's runs. Row-wise [`merge_campaigns`] over all shards equals
-/// [`multibit_sweep`].
-pub fn multibit_sweep_sharded(runs: u32, shard: Shard) -> Vec<CampaignResult> {
+/// One shard of the Table-1-style sweep: each scheme against 1..=3-bit
+/// faults. Every campaign in the matrix runs with the same seeds for any
+/// partition, simulating only this shard's runs, so row-wise
+/// [`merge_campaigns`] over all shards equals the [`Shard::full`] sweep.
+pub fn multibit_sweep(runs: u32, shard: Shard) -> Vec<CampaignResult> {
     let mut out = Vec::new();
     for (scheme, max_flips) in
         [(Scheme::Parity, 3), (Scheme::Hamming, 2), (Scheme::Secded, 3)]
     {
         for flips in 1..=max_flips {
-            out.push(edc_campaign_sharded(
-                scheme,
-                flips,
-                runs,
-                0x7E57 + flips as u64,
-                shard,
-            ));
+            out.push(edc_campaign(scheme, flips, runs, 0x7E57 + flips as u64, shard));
         }
     }
     out
@@ -321,37 +305,37 @@ mod tests {
 
     #[test]
     fn parity_single_bit_never_sdcs() {
-        let r = edc_campaign(Scheme::Parity, 1, 30, 42);
+        let r = edc_campaign(Scheme::Parity, 1, 30, 42, Shard::full());
         assert_eq!(r.sdc, 0, "{r:?}");
         assert_eq!(r.benign + r.recovered, r.runs);
     }
 
     #[test]
     fn hamming_double_bit_never_sdcs() {
-        let r = edc_campaign(Scheme::Hamming, 2, 30, 43);
+        let r = edc_campaign(Scheme::Hamming, 2, 30, 43, Shard::full());
         assert_eq!(r.sdc, 0, "{r:?}");
     }
 
     #[test]
     fn secded_triple_bit_never_sdcs() {
-        let r = edc_campaign(Scheme::Secded, 3, 30, 44);
+        let r = edc_campaign(Scheme::Secded, 3, 30, 44, Shard::full());
         assert_eq!(r.sdc, 0, "{r:?}");
     }
 
     #[test]
     fn sharded_campaigns_merge_to_the_unsharded_result() {
-        let full = edc_campaign(Scheme::Parity, 2, 24, 45);
+        let full = edc_campaign(Scheme::Parity, 2, 24, 45, Shard::full());
         for count in [2u32, 3] {
             let shards: Vec<CampaignResult> = (0..count)
                 .map(|index| {
-                    edc_campaign_sharded(Scheme::Parity, 2, 24, 45, Shard { index, count })
+                    edc_campaign(Scheme::Parity, 2, 24, 45, Shard { index, count })
                 })
                 .collect();
             let merged = merge_campaigns(&shards).expect("merge");
             assert_eq!(merged, full, "{count} shards diverge from the full run");
         }
         assert_eq!(merge_campaigns(&[]), Err(MergeError::Empty));
-        let other = edc_campaign(Scheme::Hamming, 1, 4, 1);
+        let other = edc_campaign(Scheme::Hamming, 1, 4, 1, Shard::full());
         assert!(matches!(
             merge_campaigns(&[full, other]),
             Err(MergeError::CampaignMismatch { index: 1, .. })

@@ -30,9 +30,12 @@
 //! `crates/sim/tests/snapshot_replay.rs` and the bench-level
 //! equivalence suite.
 //!
-//! # Sharding
+//! # Sweeps and sharding
 //!
-//! [`run_conformance_sharded`] partitions **sample positions** (not raw
+//! A [`Sweep`] names one run: the workload, the scheme, the site budget,
+//! the [`StaticMode`] and the [`Shard`]. [`Sweep::run`] answers it and
+//! [`prewarm`] compiles a batch of sweeps up front. The shard
+//! partitions **sample positions** (not raw
 //! site indices) round-robin across `n` shards, so shards are
 //! balanced under any stride, and [`merge_reports`] reassembles a
 //! report whose verdict fields (coverage, class counts, failures) are
@@ -573,97 +576,233 @@ fn user_memory(global: &GlobalMemory) -> Vec<(u32, u32)> {
     words
 }
 
-/// The exact compiler configuration the conformance harness uses for a
-/// (workload, scheme) pair — shared by [`prepare`] and [`prewarm`] so
-/// both resolve to the same content-cache key.
-fn conformance_config(
-    w: &Workload,
-    scheme: SchemeId,
-    vulnerability: bool,
-) -> penny_core::PennyConfig {
-    scheme
-        .config()
-        .with_launch(w.dims)
-        .with_validation(true)
-        .with_vulnerability(vulnerability)
+/// One conformance run: a (workload, scheme) pair, its site budget, how
+/// the static analysis takes part, and the shard this process covers.
+///
+/// Every conformance entry point goes through this value: [`Sweep::run`]
+/// answers it and [`prewarm`] compiles a batch of sweeps ahead of time.
+/// Both resolve the compiler configuration in one place, so a prewarmed
+/// sweep always starts from a compile-cache hit.
+#[derive(Debug, Clone)]
+pub struct Sweep {
+    /// The workload; it need not be in the registry (`penny-fuzz`
+    /// sweeps freshly generated kernels). Its `abbr` names the reports.
+    pub workload: Workload,
+    /// The protection scheme.
+    pub scheme: SchemeId,
+    /// Sites to cover; a budget at or above the space size sweeps
+    /// exhaustively.
+    pub budget: u64,
+    /// How the compile-time [`VulnerabilityMap`] is used.
+    pub mode: StaticMode,
+    /// The sample positions this run covers.
+    pub shard: Shard,
 }
 
-/// Compiles every (workload, scheme) pair the caller is about to check,
-/// fanned out across [`crate::parallel::jobs`] workers via
-/// [`crate::cache::compile_batch`]. Purely a warm-up: the artifacts land
-/// in the shared content cache, so the subsequent [`run_conformance`]
-/// calls (and any reproducer re-checks) start from hits. Verdicts are
-/// identical with or without prewarming.
-pub fn prewarm(pairs: &[(&str, SchemeId)]) {
-    prewarm_static(pairs, false);
+impl Sweep {
+    /// A full-shard, [`StaticMode::Off`] sweep of `workload`.
+    pub fn new(workload: Workload, scheme: SchemeId, budget: u64) -> Sweep {
+        Sweep { workload, scheme, budget, mode: StaticMode::Off, shard: Shard::full() }
+    }
+
+    /// [`Sweep::new`] for the registry workload `abbr`, or `None` when
+    /// no workload has that abbreviation.
+    pub fn of(abbr: &str, scheme: SchemeId, budget: u64) -> Option<Sweep> {
+        penny_workloads::by_abbr(abbr).map(|w| Sweep::new(w, scheme, budget))
+    }
+
+    /// This sweep under static mode `mode`.
+    pub fn with_mode(self, mode: StaticMode) -> Sweep {
+        Sweep { mode, ..self }
+    }
+
+    /// The exact compiler configuration the harness compiles this sweep
+    /// with, and so its compile-cache key. The vulnerability analysis
+    /// runs exactly when the static mode needs it.
+    fn config(&self) -> penny_core::PennyConfig {
+        self.scheme
+            .config()
+            .with_launch(self.workload.dims)
+            .with_validation(true)
+            .with_vulnerability(self.mode != StaticMode::Off)
+    }
+
+    /// Compiles the sweep's kernel and records its fault-free run: the
+    /// reference memory, the region-boundary snapshots, the access trace
+    /// and the fault-space geometry.
+    pub(crate) fn prepare(&self) -> Prepared {
+        let workload = self.workload.clone();
+        let abbr = workload.abbr;
+        // Validator on: every kernel the harness touches is invariant-checked.
+        // The compile goes through the content-addressed service cache, so
+        // repeated prepares of one (workload, scheme) — a sweep plus every
+        // `check_site` reproducer — share a single compilation.
+        let config = self.config();
+        let protected = crate::cache::compiled(&workload, &config);
+        let gpu_config = GpuConfig::fermi().with_rf(self.scheme.rf());
+
+        // Fault-free recording: the reference run, the region-boundary
+        // snapshots, and the access trace, in one traced execution. Also
+        // sizes the trigger dimension.
+        let mut seed_mem = GlobalMemory::new();
+        let launch = workload.prepare(&mut seed_mem);
+        let recording = crate::recstore::load_or_record(
+            &workload,
+            &config,
+            &gpu_config,
+            &protected,
+            &launch,
+            &seed_mem,
+        )
+        .unwrap_or_else(|e| panic!("{abbr} fault-free run: {e}"));
+        assert!(workload.check(recording.global()), "{abbr}: fault-free output wrong");
+        let reference = user_memory(recording.global());
+        let stats = recording.stats();
+
+        let warps = workload.dims.threads_per_block().div_ceil(32).max(1);
+        let total_warps = (warps * workload.dims.blocks()).max(1) as u64;
+        // Average dynamic per-warp instruction count. Triggers beyond a
+        // shorter warp's execution simply never fire (benign sites).
+        let triggers = stats.warp_instructions.div_ceil(total_warps).max(1);
+        let bits = RegFile::new(1, gpu_config.rf).codeword_bits();
+        let space = FaultSpace {
+            blocks: workload.dims.blocks(),
+            warps,
+            lanes: 32,
+            triggers,
+            regs: protected.kernel.vreg_limit().max(1),
+            bits,
+        };
+        Prepared { workload, protected, gpu_config, reference, space, recording }
+    }
+
+    /// Runs the sweep: classifies every owned site, replays one
+    /// representative per equivalence group, and shrinks failures to
+    /// cold reproducers. Sites run in parallel under
+    /// [`crate::parallel::jobs`]; the report is identical for any job
+    /// count, and the reports of all shards [`merge_reports`] into the
+    /// unsharded one (verdict fields; see [`ReplayWork`] for the caveat).
+    pub fn run(&self) -> ConformanceReport {
+        let p = self.prepare();
+        let rec = crate::obs::recorder();
+        let timer = penny_obs::SpanTimer::start(rec.as_ref());
+        let (scheme, shard, mode) = (self.scheme, self.shard, self.mode);
+        let workload = p.workload.abbr;
+        let total = p.space.total();
+        let seq = p.space.sequence(self.budget);
+
+        // Phase 1 — classify every owned site, one row at a time.
+        let Classified {
+            covered,
+            mut classes,
+            groups,
+            pruned: static_prune,
+            static_checked,
+            disagreement_count: static_disagreements,
+            disagreements,
+        } = classify_sites(&p, &seq, shard, mode);
+
+        // Phase 2 — one forked replay per group (parallel over groups).
+        let outcomes =
+            parallel_map(&groups, |(_, g)| run_site_forked(&p, &g.rep, g.members));
+
+        // Phase 3 — verdicts, failure attribution, counters.
+        let mut work = ReplayWork {
+            snapshots: p.recording.counters().snapshots,
+            forks: groups.len() as u64,
+            replayed_insts: 0,
+            cold_insts: covered.saturating_mul(p.recording.counters().total_warp_insts),
+            pages_copied: 0,
+        };
+        let mut failed_sites = 0u64;
+        let mut failing: Vec<(u64, String)> = Vec::new();
+        for ((_, g), o) in groups.iter().zip(&outcomes) {
+            work.replayed_insts += o.replayed_insts;
+            work.pages_copied += o.pages_copied;
+            if o.spliced {
+                classes.spliced += g.members;
+            }
+            if let Err(reason) = &o.verdict {
+                failed_sites += g.members;
+                for &pos in &g.positions {
+                    failing.push((pos, reason.clone()));
+                }
+            }
+        }
+        failing.sort_by_key(|a| a.0);
+        failing.truncate(MAX_REPORTED_FAILURES);
+
+        let mut failures = Vec::new();
+        for (pos, reason) in failing {
+            let inj = p.space.site(seq.index_at(pos));
+            // Shrink against the cold oracle, so the reproducer stands on
+            // its own even if the snapshot engine itself is the bug.
+            let shrunk = shrink_injection(inj, &|cand| run_site(&p, cand).is_err());
+            let reproducer = render_reproducer(workload, scheme, &shrunk);
+            failures.push(ConformanceFailure {
+                sample: pos,
+                injection: shrunk,
+                reason,
+                reproducer,
+            });
+        }
+
+        if rec.enabled() {
+            penny_obs::record_campaign(
+                rec.as_ref(),
+                workload,
+                scheme.name(),
+                timer,
+                &[
+                    ("sites", covered),
+                    ("snapshots", work.snapshots),
+                    ("forks", work.forks),
+                    ("pages_copied", work.pages_copied),
+                    ("replayed_insts", work.replayed_insts),
+                    ("skipped_insts", work.cold_insts.saturating_sub(work.replayed_insts)),
+                    ("spliced", classes.spliced),
+                    ("failures", failed_sites),
+                    ("pruned_static", static_prune.total()),
+                    ("static_checked", static_checked),
+                    ("static_disagreements", static_disagreements),
+                ],
+            );
+        }
+
+        ConformanceReport {
+            workload,
+            variant: scheme.name(),
+            space: p.space,
+            total,
+            covered,
+            skipped: total - covered - static_prune.total(),
+            pruned_static: static_prune.total(),
+            static_prune,
+            static_checked,
+            static_disagreements,
+            disagreements,
+            recovered: covered - failed_sites,
+            classes,
+            work,
+            shard: (shard.index, shard.count),
+            failures,
+        }
+    }
 }
 
-/// [`prewarm`] with the vulnerability analysis on, matching the compile
-/// key the static-mode entry points resolve to.
-pub fn prewarm_static(pairs: &[(&str, SchemeId)], vulnerability: bool) {
-    let batch: Vec<(Workload, penny_core::PennyConfig)> = pairs
-        .iter()
-        .map(|&(abbr, scheme)| {
-            let w = penny_workloads::by_abbr(abbr)
-                .unwrap_or_else(|| panic!("unknown workload {abbr}"));
-            let cfg = conformance_config(&w, scheme, vulnerability);
-            (w, cfg)
-        })
-        .collect();
-    let _ = crate::cache::compile_batch(&batch);
+/// Compiles every sweep the caller is about to run, fanned out across
+/// [`crate::parallel::jobs`] workers via [`crate::cache::compile_batch`].
+/// Purely a warm-up: the artifacts land in the shared content cache
+/// under the key [`Sweep::run`] resolves, so the runs (and any
+/// reproducer re-checks) start from hits. Verdicts are identical with
+/// or without prewarming.
+pub fn prewarm(sweeps: &[Sweep]) {
+    let _ = crate::cache::compile_batch(&compile_jobs(sweeps));
 }
 
-pub(crate) fn prepare(abbr: &str, scheme: SchemeId, vulnerability: bool) -> Prepared {
-    let workload =
-        penny_workloads::by_abbr(abbr).unwrap_or_else(|| panic!("unknown workload {abbr}"));
-    prepare_workload(workload, scheme, vulnerability)
-}
-
-/// [`prepare`] for a workload value that need not be in the registry —
-/// the entry point `penny-fuzz` uses for freshly generated kernels.
-fn prepare_workload(workload: Workload, scheme: SchemeId, vulnerability: bool) -> Prepared {
-    let abbr = workload.abbr;
-    // Validator on: every kernel the harness touches is invariant-checked.
-    // The compile goes through the content-addressed service cache, so
-    // repeated prepares of one (workload, scheme) — `run_conformance`
-    // plus every `check_site` reproducer — share a single compilation.
-    let config = conformance_config(&workload, scheme, vulnerability);
-    let protected = crate::cache::compiled(&workload, &config);
-    let gpu_config = GpuConfig::fermi().with_rf(scheme.rf());
-
-    // Fault-free recording: the reference run, the region-boundary
-    // snapshots, and the access trace, in one traced execution. Also
-    // sizes the trigger dimension.
-    let mut seed_mem = GlobalMemory::new();
-    let launch = workload.prepare(&mut seed_mem);
-    let recording = crate::recstore::load_or_record(
-        &workload,
-        &config,
-        &gpu_config,
-        &protected,
-        &launch,
-        &seed_mem,
-    )
-    .unwrap_or_else(|e| panic!("{abbr} fault-free run: {e}"));
-    assert!(workload.check(recording.global()), "{abbr}: fault-free output wrong");
-    let reference = user_memory(recording.global());
-    let stats = recording.stats();
-
-    let warps = workload.dims.threads_per_block().div_ceil(32).max(1);
-    let total_warps = (warps * workload.dims.blocks()).max(1) as u64;
-    // Average dynamic per-warp instruction count. Triggers beyond a
-    // shorter warp's execution simply never fire (benign sites).
-    let triggers = stats.warp_instructions.div_ceil(total_warps).max(1);
-    let bits = RegFile::new(1, gpu_config.rf).codeword_bits();
-    let space = FaultSpace {
-        blocks: workload.dims.blocks(),
-        warps,
-        lanes: 32,
-        triggers,
-        regs: protected.kernel.vreg_limit().max(1),
-        bits,
-    };
-    Prepared { workload, protected, gpu_config, reference, space, recording }
+/// The (workload, configuration) compile jobs [`prewarm`] submits.
+fn compile_jobs(sweeps: &[Sweep]) -> Vec<(Workload, penny_core::PennyConfig)> {
+    sweeps.iter().map(|s| (s.workload.clone(), s.config())).collect()
 }
 
 /// A compact site label for span output: one field per injection digit.
@@ -803,20 +942,9 @@ pub fn shrink_injection(
     }
 }
 
-/// The `SchemeId::` variant token for generated code.
-fn scheme_token(scheme: SchemeId) -> &'static str {
-    match scheme {
-        SchemeId::Baseline => "Baseline",
-        SchemeId::IGpu => "IGpu",
-        SchemeId::BoltGlobal => "BoltGlobal",
-        SchemeId::BoltAuto => "BoltAuto",
-        SchemeId::Penny => "Penny",
-    }
-}
-
 /// Renders a failing site as a ready-to-paste regression test.
 pub fn render_reproducer(abbr: &str, scheme: SchemeId, inj: &Injection) -> String {
-    let token = scheme_token(scheme);
+    let token = scheme.token();
     format!(
         "#[test]\n\
          fn conformance_regression_{name}_{scheme_lc}() {{\n    \
@@ -851,10 +979,12 @@ pub fn render_reproducer(abbr: &str, scheme: SchemeId, inj: &Injection) -> Strin
 /// # Errors
 ///
 /// Returns the mismatch/simulator-error description when the site does
-/// not recover to the fault-free final memory.
+/// not recover to the fault-free final memory, or names `abbr` when no
+/// registry workload has that abbreviation.
 pub fn check_site(abbr: &str, scheme: SchemeId, inj: &Injection) -> Result<(), String> {
-    let p = prepare(abbr, scheme, false);
-    run_site(&p, inj)
+    let sweep =
+        Sweep::of(abbr, scheme, 0).ok_or_else(|| format!("unknown workload {abbr}"))?;
+    run_site(&sweep.prepare(), inj)
 }
 
 /// A replay-equivalence group key: sites with equal key provably share
@@ -1049,186 +1179,6 @@ fn classify_sites(
     merged.disagreements.sort_by_key(|a| a.0);
     merged.disagreements.truncate(MAX_REPORTED_FAILURES);
     merged
-}
-
-/// Runs the conformance harness for one (workload, scheme) pair with a
-/// site budget. Sites run in parallel under [`crate::parallel::jobs`];
-/// results are deterministic for any job count.
-pub fn run_conformance(abbr: &str, scheme: SchemeId, budget: u64) -> ConformanceReport {
-    run_conformance_sharded(abbr, scheme, budget, Shard::full())
-}
-
-/// [`run_conformance_static`] for a workload value that need not be in
-/// the registry. The workload's `abbr` must be `'static` (fuzz-generated
-/// workloads leak their names, which is bounded by the iteration
-/// count). This is the entry point `penny-fuzz`'s static-agreement
-/// stage uses.
-pub fn run_conformance_static_for(
-    workload: &Workload,
-    scheme: SchemeId,
-    budget: u64,
-    mode: StaticMode,
-) -> ConformanceReport {
-    let statik = mode != StaticMode::Off;
-    run_prepared(
-        prepare_workload(workload.clone(), scheme, statik),
-        scheme,
-        budget,
-        Shard::full(),
-        mode,
-    )
-}
-
-/// Runs one shard of the conformance harness: only sample positions
-/// `pos % shard.count == shard.index` are covered. Reports from all
-/// shards [`merge_reports`] into the unsharded report bit-identically
-/// (verdict fields; see [`ReplayWork`] for the caveat).
-pub fn run_conformance_sharded(
-    abbr: &str,
-    scheme: SchemeId,
-    budget: u64,
-    shard: Shard,
-) -> ConformanceReport {
-    run_prepared(prepare(abbr, scheme, false), scheme, budget, shard, StaticMode::Off)
-}
-
-/// [`run_conformance`] with the compile-time [`VulnerabilityMap`] in
-/// play: [`StaticMode::Prune`] answers statically-classified sites by
-/// the static proof (making exhaustive sweeps of large spaces
-/// feasible), [`StaticMode::Validate`] runs them anyway and counts
-/// disagreements (translation validation).
-pub fn run_conformance_static(
-    abbr: &str,
-    scheme: SchemeId,
-    budget: u64,
-    mode: StaticMode,
-) -> ConformanceReport {
-    run_conformance_static_sharded(abbr, scheme, budget, mode, Shard::full())
-}
-
-/// Sharded [`run_conformance_static`]; shard reports merge
-/// bit-identically including the pruned-site accounting.
-pub fn run_conformance_static_sharded(
-    abbr: &str,
-    scheme: SchemeId,
-    budget: u64,
-    mode: StaticMode,
-    shard: Shard,
-) -> ConformanceReport {
-    let statik = mode != StaticMode::Off;
-    run_prepared(prepare(abbr, scheme, statik), scheme, budget, shard, mode)
-}
-
-/// The shared conformance body: classification, forked replays, and
-/// verdicts for an already-[`prepare`]d (workload, scheme) pair.
-fn run_prepared(
-    p: Prepared,
-    scheme: SchemeId,
-    budget: u64,
-    shard: Shard,
-    mode: StaticMode,
-) -> ConformanceReport {
-    let rec = crate::obs::recorder();
-    let timer = penny_obs::SpanTimer::start(rec.as_ref());
-    let workload = p.workload.abbr;
-    let total = p.space.total();
-    let seq = p.space.sequence(budget);
-
-    // Phase 1 — classify every owned site, one row at a time.
-    let Classified {
-        covered,
-        mut classes,
-        groups,
-        pruned: static_prune,
-        static_checked,
-        disagreement_count: static_disagreements,
-        disagreements,
-    } = classify_sites(&p, &seq, shard, mode);
-
-    // Phase 2 — one forked replay per group (parallel over groups).
-    let outcomes = parallel_map(&groups, |(_, g)| run_site_forked(&p, &g.rep, g.members));
-
-    // Phase 3 — verdicts, failure attribution, counters.
-    let mut work = ReplayWork {
-        snapshots: p.recording.counters().snapshots,
-        forks: groups.len() as u64,
-        replayed_insts: 0,
-        cold_insts: covered.saturating_mul(p.recording.counters().total_warp_insts),
-        pages_copied: 0,
-    };
-    let mut failed_sites = 0u64;
-    let mut failing: Vec<(u64, String)> = Vec::new();
-    for ((_, g), o) in groups.iter().zip(&outcomes) {
-        work.replayed_insts += o.replayed_insts;
-        work.pages_copied += o.pages_copied;
-        if o.spliced {
-            classes.spliced += g.members;
-        }
-        if let Err(reason) = &o.verdict {
-            failed_sites += g.members;
-            for &pos in &g.positions {
-                failing.push((pos, reason.clone()));
-            }
-        }
-    }
-    failing.sort_by_key(|a| a.0);
-    failing.truncate(MAX_REPORTED_FAILURES);
-
-    let mut failures = Vec::new();
-    for (pos, reason) in failing {
-        let inj = p.space.site(seq.index_at(pos));
-        // Shrink against the cold oracle, so the reproducer stands on
-        // its own even if the snapshot engine itself is the bug.
-        let shrunk = shrink_injection(inj, &|cand| run_site(&p, cand).is_err());
-        let reproducer = render_reproducer(workload, scheme, &shrunk);
-        failures.push(ConformanceFailure {
-            sample: pos,
-            injection: shrunk,
-            reason,
-            reproducer,
-        });
-    }
-
-    if rec.enabled() {
-        penny_obs::record_campaign(
-            rec.as_ref(),
-            workload,
-            scheme.name(),
-            timer,
-            &[
-                ("sites", covered),
-                ("snapshots", work.snapshots),
-                ("forks", work.forks),
-                ("pages_copied", work.pages_copied),
-                ("replayed_insts", work.replayed_insts),
-                ("skipped_insts", work.cold_insts.saturating_sub(work.replayed_insts)),
-                ("spliced", classes.spliced),
-                ("failures", failed_sites),
-                ("pruned_static", static_prune.total()),
-                ("static_checked", static_checked),
-                ("static_disagreements", static_disagreements),
-            ],
-        );
-    }
-
-    ConformanceReport {
-        workload,
-        variant: scheme.name(),
-        space: p.space,
-        total,
-        covered,
-        skipped: total - covered - static_prune.total(),
-        pruned_static: static_prune.total(),
-        static_prune,
-        static_checked,
-        static_disagreements,
-        disagreements,
-        recovered: covered - failed_sites,
-        classes,
-        work,
-        shard: (shard.index, shard.count),
-        failures,
-    }
 }
 
 /// Why a set of shard results refused to merge. Every variant that
@@ -1484,32 +1434,27 @@ pub struct ThroughputBench {
     pub report: ConformanceReport,
 }
 
-/// Times the snapshot/replay sweep (best of `reps`, recording cost
-/// included) against a cold-harness baseline extrapolated from
-/// `cold_samples` evenly spaced sites simulated from cycle 0 — the
-/// evidence behind the campaign-throughput gate in `scripts/verify.sh`.
-pub fn bench_throughput(
-    abbr: &str,
-    scheme: SchemeId,
-    budget: u64,
-    reps: u32,
-    cold_samples: u64,
-) -> ThroughputBench {
+/// Times `sweep` through the snapshot/replay engine (best of `reps`,
+/// recording cost included) against a cold-harness baseline
+/// extrapolated from `cold_samples` evenly spaced sites of its budget
+/// simulated from cycle 0 — the evidence behind the campaign-throughput
+/// gate in `scripts/verify.sh`.
+pub fn bench_throughput(sweep: &Sweep, reps: u32, cold_samples: u64) -> ThroughputBench {
     use std::time::Instant;
     // The first rep runs unconditionally, so there is always a report —
     // no Option, no "at least one rep" panic path, even for degenerate
     // inputs (zero budget, zero reps, empty partitions).
     let t = Instant::now();
-    let mut report = run_conformance(abbr, scheme, budget);
+    let mut report = sweep.run();
     let mut best = t.elapsed().as_secs_f64();
     for _ in 1..reps.max(1) {
         let t = Instant::now();
-        report = run_conformance(abbr, scheme, budget);
+        report = sweep.run();
         best = best.min(t.elapsed().as_secs_f64());
     }
 
-    let p = prepare(abbr, scheme, false);
-    let seq = p.space.sequence(budget);
+    let p = sweep.prepare();
+    let seq = p.space.sequence(sweep.budget);
     let step = (seq.len() / cold_samples.max(1)).max(1);
     let cold_positions: Vec<u64> = (0..seq.len()).step_by(step as usize).collect();
     let t = Instant::now();
@@ -1804,7 +1749,7 @@ mod tests {
             ("MT", SchemeId::Baseline),
             ("SGEMM", SchemeId::Penny),
         ] {
-            let p = prepare(abbr, scheme, false);
+            let p = Sweep::of(abbr, scheme, 0).expect("registry workload").prepare();
             let seq = p.space.sequence(144);
             let mut simulated = 0u32;
             for pos in 0..seq.len() {
@@ -1910,7 +1855,9 @@ mod tests {
         // register and bit of the real recording, small enough for a
         // per-site oracle yet several position chunks long.
         for scheme in [SchemeId::Baseline, SchemeId::IGpu, SchemeId::Penny] {
-            let mut p = prepare("MT", scheme, true);
+            let sweep =
+                Sweep::of("MT", scheme, 0).expect("MT").with_mode(StaticMode::Validate);
+            let mut p = sweep.prepare();
             p.space = FaultSpace { blocks: 1, lanes: 2, ..p.space };
             let total = p.space.total();
             let model = rf_model(p.gpu_config.rf);
@@ -1969,6 +1916,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn unknown_abbreviation_is_none_not_a_panic() {
+        assert!(Sweep::of("NOPE", SchemeId::Penny, 10).is_none());
+        assert!(Sweep::of("", SchemeId::Penny, 10).is_none());
+        let inj =
+            Injection { block: 0, warp: 0, lane: 0, reg: 0, bit: 0, after_warp_insts: 1 };
+        let err = check_site("NOPE", SchemeId::Penny, &inj).expect_err("unknown workload");
+        assert!(err.contains("unknown workload"), "{err}");
+    }
+
+    #[test]
+    fn prewarm_and_run_resolve_the_same_compile_key() {
+        // What `prewarm` submits must be exactly what `run` compiles, in
+        // every static mode: the vulnerability analysis is part of the
+        // key, so warming the wrong one would only waste a compile. Equal
+        // keys share one cache entry, hence one `Arc`.
+        let mut keys = Vec::new();
+        for mode in [StaticMode::Off, StaticMode::Prune, StaticMode::Validate] {
+            let sweep = Sweep::of("BS", SchemeId::Penny, 0).expect("BS").with_mode(mode);
+            let jobs = compile_jobs(std::slice::from_ref(&sweep));
+            let (w, cfg) = &jobs[0];
+            let p = sweep.prepare();
+            let warmed = crate::cache::compiled(w, cfg);
+            assert!(
+                Arc::ptr_eq(&warmed, &p.protected),
+                "{mode:?}: prewarm missed run's key"
+            );
+            assert_eq!(p.protected.vulnerability.is_some(), mode != StaticMode::Off);
+            keys.push(penny_cache::compile_key(&w.source_text(), cfg));
+        }
+        // Prune and Validate share the analysis-on key; Off differs.
+        assert_eq!(keys[1], keys[2]);
+        assert_ne!(keys[0], keys[1]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fleet-scale campaign orchestration: the `penny-herd` shard driver.
 //!
 //! A conformance campaign is embarrassingly parallel across the
-//! sample-position partition ([`Shard`]), but a single process can only
+//! sample-position partition ([`Shard`](crate::conformance::Shard)), but a single process can only
 //! scale to one machine's cores — and a fleet of shard processes needs
 //! supervision: crashes, hangs, and lost output must degrade the
 //! campaign, not corrupt it. This module runs a campaign as `N`
@@ -198,10 +198,19 @@ fn shard_command(spec: &CampaignSpec, template: &CommandTemplate, index: u32) ->
     cmd
 }
 
-/// Validates a spec before any process is spawned.
+/// Validates a spec before any process is spawned. A zero budget or
+/// job count would make every shard process reject its arguments, so
+/// the campaign would burn its retries and report itself partial
+/// instead of naming the usage error.
 fn check_spec(spec: &CampaignSpec) -> Result<(), String> {
     if spec.shards == 0 {
         return Err("campaign needs at least one shard".into());
+    }
+    if spec.budget == 0 {
+        return Err("campaign budget must be positive".into());
+    }
+    if spec.jobs_per_shard == 0 {
+        return Err("campaign needs at least one job per shard".into());
     }
     if spec.workloads.is_empty() || spec.schemes.is_empty() {
         return Err("campaign needs at least one workload and one scheme".into());

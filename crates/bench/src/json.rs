@@ -288,11 +288,11 @@ pub fn reports_from_json(s: &str) -> Result<Vec<ConformanceReport>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conformance::{render_report, run_conformance, MAX_REPORTED_FAILURES};
+    use crate::conformance::{render_report, Sweep, MAX_REPORTED_FAILURES};
 
     #[test]
     fn clean_report_round_trips_bit_identically() {
-        let r = run_conformance("MT", SchemeId::Penny, 48);
+        let r = Sweep::of("MT", SchemeId::Penny, 48).expect("MT").run();
         let json = reports_to_json(std::slice::from_ref(&r));
         let back = reports_from_json(&json).expect("parse");
         assert_eq!(back.len(), 1);
@@ -315,7 +315,7 @@ mod tests {
     fn failing_report_round_trips_reproducers() {
         // Baseline MT produces real failures with multi-line reproducer
         // strings — the stress case for string escaping.
-        let r = run_conformance("MT", SchemeId::Baseline, 120);
+        let r = Sweep::of("MT", SchemeId::Baseline, 120).expect("MT").run();
         assert!(!r.failures.is_empty(), "baseline must fail");
         assert!(r.failures.len() <= MAX_REPORTED_FAILURES);
         let back = &reports_from_json(&reports_to_json(std::slice::from_ref(&r)))
@@ -342,7 +342,7 @@ mod tests {
 
     #[test]
     fn out_of_range_u32_fields_are_rejected_not_truncated() {
-        let r = run_conformance("MT", SchemeId::Baseline, 120);
+        let r = Sweep::of("MT", SchemeId::Baseline, 120).expect("MT").run();
         assert!(!r.failures.is_empty(), "injection fields must be present");
         let json = reports_to_json(std::slice::from_ref(&r));
         assert!(json.contains("\"shard\":[0,1]"));
@@ -384,7 +384,7 @@ mod tests {
 
     #[test]
     fn inconsistent_counts_are_rejected_not_merged() {
-        let r = run_conformance("MT", SchemeId::Penny, 48);
+        let r = Sweep::of("MT", SchemeId::Penny, 48).expect("MT").run();
         assert!(r.covered > 0 && r.classes.invisible + r.classes.never_fires > 0);
         let c = &r.classes;
         let cases: Vec<(Vec<(&str, u64)>, &str)> = vec![
@@ -424,7 +424,7 @@ mod tests {
         use crate::conformance::{merge_reports, MergeError};
         // Two shard reports that each pass decoding but together cover
         // more sites than the space: shard 1 claims shard 0's sites too.
-        let r = run_conformance("MT", SchemeId::Penny, 48);
+        let r = Sweep::of("MT", SchemeId::Penny, 48).expect("MT").run();
         let mut a = r.clone();
         a.shard = (0, 2);
         let mut b = r.clone();

@@ -34,11 +34,13 @@ pub mod vulnerability;
 pub use ablation::{ablation, cost_base_sensitivity, render_ablation, AblationRow};
 pub use campaign::{edc_campaign, multibit_sweep, CampaignResult};
 pub use conformance::{
-    run_conformance, run_conformance_static, ConformanceFailure, ConformanceReport,
-    FaultSpace, MergeError, Shard, ShardError, StaticMode, StaticPruneCounts,
+    ConformanceFailure, ConformanceReport, FaultSpace, MergeError, Shard, ShardError,
+    StaticMode, StaticPruneCounts, Sweep,
 };
 pub use figures::{Figure, PruneBreakdown, Series};
 pub use parallel::{jobs, parallel_map, set_jobs};
 pub use refinement::{refinement_comparison, render_refinement, RefinementRow};
-pub use runner::{gmean, run_scheme, run_workload, Measured, SchemeId};
+pub use runner::{
+    gmean, parse_schemes, parse_workloads, run_scheme, run_workload, Measured, SchemeId,
+};
 pub use vulnerability::{render_profile, static_profile, RegProfile, StaticProfile};

@@ -4,7 +4,7 @@
 //! conformance sweep: every shard of a `penny-herd` campaign would
 //! otherwise re-trace the same (workload, scheme) pairs from cycle 0.
 //! When a store directory is configured ([`set_recording_store`]),
-//! [`load_or_record`] keys each recording by
+//! `load_or_record` keys each recording by
 //! [`penny_cache::recording_key`] — a fingerprint of the kernel source
 //! text, the full [`PennyConfig`], and the [`GpuConfig`] — and
 //! persists it via [`penny_sim::persist`]'s versioned binary format at

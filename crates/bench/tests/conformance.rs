@@ -6,16 +6,25 @@
 //! recorded in `EXPERIMENTS.md` use larger budgets in release mode.
 
 use penny_bench::conformance::{
-    merge_reports, render_report, run_conformance, run_conformance_sharded,
-    run_conformance_static, run_conformance_static_sharded, MergeError, Shard, StaticMode,
+    merge_reports, render_report, ConformanceReport, MergeError, Shard, StaticMode, Sweep,
 };
 use penny_bench::SchemeId;
+
+/// A full-shard, static-off sweep of registry workload `abbr`.
+fn sweep(abbr: &str, scheme: SchemeId, budget: u64) -> Sweep {
+    Sweep::of(abbr, scheme, budget).expect("registry workload")
+}
+
+/// Runs `sweep(abbr, scheme, budget)`.
+fn run(abbr: &str, scheme: SchemeId, budget: u64) -> ConformanceReport {
+    sweep(abbr, scheme, budget).run()
+}
 
 /// Asserts a clean report and returns it (printing coverage counts so
 /// `--nocapture` shows the per-workload totals the harness contract
 /// requires).
 fn assert_clean(abbr: &str, scheme: SchemeId, budget: u64) {
-    let r = run_conformance(abbr, scheme, budget);
+    let r = run(abbr, scheme, budget);
     print!("{}", render_report(&r));
     assert!(r.total > 0, "{abbr}/{}: empty fault space", r.variant);
     assert_eq!(r.covered + r.skipped, r.total, "coverage accounting");
@@ -36,7 +45,7 @@ fn conformance_mt_recovers_under_all_protected_schemes() {
         [SchemeId::Penny, SchemeId::BoltGlobal, SchemeId::BoltAuto, SchemeId::IGpu];
     // Batch-compile all four variants up front (fans out across the
     // parallel harness); the per-scheme runs below start from cache hits.
-    penny_bench::conformance::prewarm(&schemes.map(|s| ("MT", s)));
+    penny_bench::conformance::prewarm(&schemes.map(|s| sweep("MT", s, 300)));
     for scheme in schemes {
         assert_clean("MT", scheme, 300);
     }
@@ -66,7 +75,7 @@ fn conformance_detects_corruption_on_unprotected_baseline() {
     // Negative control: with an unprotected RF the same fault space must
     // produce silent corruptions, and each failure must carry a shrunk,
     // pasteable reproducer — proving the harness can actually fail.
-    let r = run_conformance("MT", SchemeId::Baseline, 300);
+    let r = run("MT", SchemeId::Baseline, 300);
     assert!(
         !r.failures.is_empty(),
         "300 unprotected fault sites produced no corruption — harness is blind"
@@ -98,12 +107,13 @@ fn conformance_detects_corruption_on_unprotected_baseline() {
 #[test]
 fn sharded_reports_merge_byte_identically() {
     for (scheme, budget) in [(SchemeId::Penny, 160), (SchemeId::Baseline, 160)] {
-        let full = run_conformance("MT", scheme, budget);
+        let full = run("MT", scheme, budget);
         for (count, jobs) in [(2u32, 1usize), (3, 4)] {
             penny_bench::set_jobs(jobs);
             let shards: Vec<_> = (0..count)
                 .map(|index| {
-                    run_conformance_sharded("MT", scheme, budget, Shard { index, count })
+                    Sweep { shard: Shard { index, count }, ..sweep("MT", scheme, budget) }
+                        .run()
                 })
                 .collect();
             for s in &shards {
@@ -132,7 +142,8 @@ fn sharded_reports_merge_byte_identically() {
     // Malformed partitions are rejected, each with a typed error that
     // names the offending shard.
     let a =
-        run_conformance_sharded("MT", SchemeId::Penny, 40, Shard { index: 0, count: 2 });
+        Sweep { shard: Shard { index: 0, count: 2 }, ..sweep("MT", SchemeId::Penny, 40) }
+            .run();
     assert!(matches!(
         merge_reports(std::slice::from_ref(&a)),
         Err(MergeError::MissingShards { expected: 2, got: 1 })
@@ -151,7 +162,7 @@ fn sharded_reports_merge_byte_identically() {
 #[test]
 fn zero_budget_and_empty_shards_report_empty_but_valid() {
     // budget 0 used to divide by zero deriving the sample stride.
-    let r = run_conformance("MT", SchemeId::Penny, 0);
+    let r = run("MT", SchemeId::Penny, 0);
     assert!(r.total > 0);
     assert_eq!(r.covered, 0);
     assert_eq!(r.skipped, r.total);
@@ -160,17 +171,19 @@ fn zero_budget_and_empty_shards_report_empty_but_valid() {
 
     // With a 4-site budget and 8 shards, shards 4..8 own nothing.
     let empty =
-        run_conformance_sharded("MT", SchemeId::Penny, 4, Shard { index: 7, count: 8 });
+        Sweep { shard: Shard { index: 7, count: 8 }, ..sweep("MT", SchemeId::Penny, 4) }
+            .run();
     assert_eq!(empty.covered, 0);
     assert_eq!(empty.recovered, 0);
     assert!(empty.failures.is_empty());
     assert_eq!(empty.shard, (7, 8));
 
     // The over-sharded partition still merges to the unsharded report.
-    let full = run_conformance("MT", SchemeId::Penny, 4);
+    let full = run("MT", SchemeId::Penny, 4);
     let shards: Vec<_> = (0..8)
         .map(|index| {
-            run_conformance_sharded("MT", SchemeId::Penny, 4, Shard { index, count: 8 })
+            Sweep { shard: Shard { index, count: 8 }, ..sweep("MT", SchemeId::Penny, 4) }
+                .run()
         })
         .collect();
     let merged = merge_reports(&shards).expect("merge");
@@ -180,14 +193,15 @@ fn zero_budget_and_empty_shards_report_empty_but_valid() {
 
     // The throughput bench survives the same degenerate inputs (it used
     // to unwrap a report that was only set inside the reps loop).
-    let b = penny_bench::conformance::bench_throughput("MT", SchemeId::Penny, 0, 0, 0);
+    let b =
+        penny_bench::conformance::bench_throughput(&sweep("MT", SchemeId::Penny, 0), 0, 0);
     assert_eq!(b.covered, 0);
     assert_eq!(b.report.covered, 0);
 }
 
 #[test]
 fn conformance_reports_skip_count_when_budgeted() {
-    let r = run_conformance("MT", SchemeId::Penny, 4);
+    let r = run("MT", SchemeId::Penny, 4);
     assert_eq!(r.covered, 4);
     assert_eq!(r.skipped, r.total - 4);
 }
@@ -200,8 +214,8 @@ fn conformance_reports_skip_count_when_budgeted() {
 #[test]
 fn static_prune_accounting_partitions_the_sample() {
     let budget = 400;
-    let off = run_conformance("MT", SchemeId::Penny, budget);
-    let pruned = run_conformance_static("MT", SchemeId::Penny, budget, StaticMode::Prune);
+    let off = run("MT", SchemeId::Penny, budget);
+    let pruned = sweep("MT", SchemeId::Penny, budget).with_mode(StaticMode::Prune).run();
     print!("{}", render_report(&pruned));
     assert_eq!(pruned.total, off.total);
     assert_eq!(pruned.skipped, off.skipped, "pruning must not change the sample");
@@ -227,7 +241,7 @@ fn static_validation_agrees_with_replay_on_mt() {
     for scheme in
         [SchemeId::Penny, SchemeId::BoltGlobal, SchemeId::BoltAuto, SchemeId::IGpu]
     {
-        let r = run_conformance_static("MT", scheme, 300, StaticMode::Validate);
+        let r = sweep("MT", scheme, 300).with_mode(StaticMode::Validate).run();
         assert_eq!(r.pruned_static, 0, "validate mode must replay everything");
         assert!(r.static_checked > 0, "{}: no static claims checked", r.variant);
         assert_eq!(
@@ -246,7 +260,7 @@ fn static_validation_agrees_with_replay_on_mt() {
 /// protection).
 #[test]
 fn static_validation_is_vacuous_only_for_covered_claims_on_baseline() {
-    let r = run_conformance_static("MT", SchemeId::Baseline, 200, StaticMode::Validate);
+    let r = sweep("MT", SchemeId::Baseline, 200).with_mode(StaticMode::Validate).run();
     // Dead/overwritten facts are protection-independent and still
     // checked; covered claims require a protection model and cannot
     // appear. Disagreements must stay zero either way.
@@ -258,18 +272,11 @@ fn static_validation_is_vacuous_only_for_covered_claims_on_baseline() {
 #[test]
 fn sharded_static_prune_reports_merge_byte_identically() {
     let budget = 200;
-    let full = run_conformance_static("MT", SchemeId::Penny, budget, StaticMode::Prune);
+    let pruned = sweep("MT", SchemeId::Penny, budget).with_mode(StaticMode::Prune);
+    let full = pruned.run();
     for count in [2u32, 3] {
         let shards: Vec<_> = (0..count)
-            .map(|index| {
-                run_conformance_static_sharded(
-                    "MT",
-                    SchemeId::Penny,
-                    budget,
-                    StaticMode::Prune,
-                    Shard { index, count },
-                )
-            })
+            .map(|index| Sweep { shard: Shard { index, count }, ..pruned.clone() }.run())
             .collect();
         let merged = merge_reports(&shards).expect("merge");
         assert_eq!(render_report(&merged), render_report(&full));
@@ -296,7 +303,7 @@ fn sharded_static_prune_reports_merge_byte_identically() {
 #[ignore = "exhaustive 577M-site sweep; scripts/verify.sh runs it in release mode"]
 fn exhaustive_sgemm_bolt_global_with_static_prune() {
     let r =
-        run_conformance_static("SGEMM", SchemeId::BoltGlobal, u64::MAX, StaticMode::Prune);
+        sweep("SGEMM", SchemeId::BoltGlobal, u64::MAX).with_mode(StaticMode::Prune).run();
     print!("{}", render_report(&r));
     assert_eq!(r.skipped, 0, "exhaustive sweep must answer every site");
     assert_eq!(r.covered + r.pruned_static, r.total);

@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use penny_bench::conformance::{render_report, run_conformance};
+use penny_bench::conformance::{render_report, ConformanceReport, Sweep};
 use penny_bench::herd::{run_campaign, CampaignSpec, CommandTemplate};
 use penny_bench::SchemeId;
 
@@ -57,6 +57,11 @@ fn write_script(path: &Path, body: &str) {
     std::fs::set_permissions(path, perms).expect("chmod wrapper");
 }
 
+/// The in-process, unsharded MT/Penny report a campaign must reproduce.
+fn unsharded_report(budget: u64) -> ConformanceReport {
+    Sweep::of("MT", SchemeId::Penny, budget).expect("MT").run()
+}
+
 fn spec(dir: &Path, budget: u64, retries: u32) -> CampaignSpec {
     CampaignSpec {
         workloads: vec!["MT".to_string()],
@@ -91,7 +96,7 @@ fn killed_shard_is_retried_and_the_merge_is_byte_identical() {
     assert_eq!(outcome.merged.len(), 1);
     let merged = &outcome.merged[0];
     assert!(merged.missing_shards.is_empty());
-    let unsharded = run_conformance("MT", SchemeId::Penny, budget);
+    let unsharded = unsharded_report(budget);
     assert_eq!(render_report(&merged.report), render_report(&unsharded));
 
     // Second, warm campaign: every shard finds its recording in the
@@ -149,7 +154,7 @@ fn exhausted_retries_degrade_to_a_labelled_partial_report() {
     assert_eq!(m.missing_shards, vec![1]);
     let r = &m.report;
     assert_eq!(r.covered + r.skipped + r.pruned_static, r.total);
-    let unsharded = run_conformance("MT", SchemeId::Penny, budget);
+    let unsharded = unsharded_report(budget);
     assert!(r.covered < unsharded.covered, "a partial report covers strictly less");
     assert!(r.covered > 0, "the surviving shard's sites are still covered");
 
@@ -200,5 +205,23 @@ fn hung_shard_is_killed_by_the_timeout() {
     // With no survivors there is nothing to merge — but the campaign
     // still completes and reports itself partial via the shard list.
     assert!(outcome.merged.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn zero_budget_or_jobs_is_a_usage_error_before_any_shard_runs() {
+    let dir = scratch("usage");
+    // A "shard" that only leaves a marker: any attempt would show.
+    let script = dir.join("marking.sh");
+    let marker = dir.join("attempted");
+    write_script(&script, &format!("#!/bin/sh\n: > \"{}\"\nexit 0\n", marker.display()));
+    let template = CommandTemplate { program: script, args: Vec::new() };
+    let mut zero_jobs = spec(&dir, 16, 2);
+    zero_jobs.jobs_per_shard = 0;
+    for s in [spec(&dir, 0, 2), zero_jobs] {
+        let err = run_campaign(&s, &template).expect_err("usage error");
+        assert!(err.contains("budget") || err.contains("job"), "{err}");
+    }
+    assert!(!marker.exists(), "a shard attempt ran despite the invalid spec");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,7 +5,7 @@
 
 use std::process::Command;
 
-use penny_bench::conformance::run_conformance;
+use penny_bench::conformance::Sweep;
 use penny_bench::json::{reports_from_json, reports_to_json};
 use penny_bench::SchemeId;
 use penny_obs::json;
@@ -49,7 +49,7 @@ fn mutate(text: &str, decode: &dyn Fn(&str) -> bool) -> usize {
 fn report_decoder_survives_truncation_and_byte_substitution() {
     // Baseline MT fails, so the file carries failures whose reproducer
     // strings span several lines.
-    let report = run_conformance("MT", SchemeId::Baseline, 120);
+    let report = Sweep::of("MT", SchemeId::Baseline, 120).expect("MT").run();
     assert!(report.failures.iter().any(|f| f.reproducer.contains('\n')));
     let text = reports_to_json(std::slice::from_ref(&report));
     assert!(reports_from_json(&text).is_ok());

@@ -10,7 +10,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use penny_bench::{conformance, figures, obs, report, SchemeId};
+use penny_bench::{conformance, figures, obs, report, SchemeId, Sweep};
 use penny_obs::{MemRecorder, SpanKind, NULL};
 use penny_sim::{engine, GlobalMemory, GpuConfig};
 
@@ -154,10 +154,10 @@ fn fig9_and_baselines_are_identical_with_global_sink_on_and_off() {
 fn conformance_verdicts_are_identical_with_global_sink_on_and_off() {
     let _guard = SINK_LOCK.lock().unwrap();
     obs::clear_recorder();
-    let silent = conformance::run_conformance("MT", SchemeId::Penny, 48);
+    let silent = Sweep::of("MT", SchemeId::Penny, 48).expect("MT").run();
 
     let sink = SinkGuard::install();
-    let observed = conformance::run_conformance("MT", SchemeId::Penny, 48);
+    let observed = Sweep::of("MT", SchemeId::Penny, 48).expect("MT").run();
     let site_spans = sink.rec.take();
     drop(sink);
 

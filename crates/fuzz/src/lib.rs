@@ -20,7 +20,7 @@
 //!    must equal the Baseline golden output;
 //! 6. **conformance + static agreement** — a budgeted snapshot/replay
 //!    sweep in `StaticMode::Validate`
-//!    ([`penny_bench::conformance::run_conformance_static_for`]) must
+//!    ([`penny_bench::conformance::Sweep`]) must
 //!    recover every covered fault site, and every compile-time
 //!    [`penny_analysis::StaticSiteClass`] claim must agree with the
 //!    replay engine's dynamic verdict (translation validation of the
@@ -39,7 +39,7 @@ use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use penny_analysis::{lint_kernel, LintOptions, Severity};
-use penny_bench::conformance::{run_conformance_static_for, ConformanceReport, StaticMode};
+use penny_bench::conformance::{ConformanceReport, StaticMode, Sweep};
 use penny_bench::SchemeId;
 use penny_core::Protected;
 use penny_sim::gen::{self, splitmix64, KernelSpec};
@@ -448,10 +448,9 @@ pub fn run_gauntlet(spec: &KernelSpec, cfg: &FuzzConfig) -> GauntletOutcome {
             if gen::try_compile(&kernel, gauntlet_config(scheme, spec)).is_none() {
                 continue; // already counted as a skip above when listed
             }
-            let budget = cfg.conformance_budget;
-            let report = match catch_unwind(AssertUnwindSafe(|| {
-                run_conformance_static_for(&workload, scheme, budget, StaticMode::Validate)
-            })) {
+            let sweep = Sweep::new(workload.clone(), scheme, cfg.conformance_budget)
+                .with_mode(StaticMode::Validate);
+            let report = match catch_unwind(AssertUnwindSafe(|| sweep.run())) {
                 Ok(r) => r,
                 Err(p) => {
                     fail(
@@ -723,12 +722,8 @@ pub fn replay_workload(w: &Workload, conformance_budget: u64) -> Result<(), Stri
     }
 
     if conformance_budget > 0 {
-        let report = run_conformance_static_for(
-            w,
-            SchemeId::Penny,
-            conformance_budget,
-            StaticMode::Validate,
-        );
+        let sweep = Sweep::new(w.clone(), SchemeId::Penny, conformance_budget);
+        let report = sweep.with_mode(StaticMode::Validate).run();
         if let Some(detail) = conformance_failure(&report) {
             return Err(format!("{}: conformance: {detail}", w.abbr));
         }

@@ -3,7 +3,8 @@
 #
 # Runs the same checks CI and reviewers rely on, in order of cost:
 #
-#   1. formatting and clippy lints (warnings are errors);
+#   1. formatting, clippy lints and rustdoc (warnings are errors, so
+#      a stale intra-doc link to a removed item fails here);
 #   2. the kernel sanitizer (penny-lint) over all 25 workloads,
 #      warnings denied — the evaluation suite must stay lint-clean;
 #   3. release build of the whole workspace, plus the benchmark's
@@ -66,6 +67,9 @@ cargo fmt --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (deny rustdoc warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "==> penny-lint: sanitize all workloads (deny warnings)"
 cargo run -q -p penny-bench --bin penny-lint -- --all-workloads --deny-warnings
