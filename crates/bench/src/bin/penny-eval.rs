@@ -18,11 +18,19 @@
 //! (default: all available cores). Results are bit-identical for every
 //! `N`; see `penny_bench::parallel`.
 //!
+//! The command line is the one every binary shares (`penny_bench::cli`):
+//! a flag's value may follow as `--flag value` or `--flag=value`, and
+//! scheme names match ignoring case, `-` and `_`. Every flag and target
+//! name is checked before any target runs. Exit status: 0 ok; 1 a site
+//! failed, a static claim disagreed, or a gate (`--min-speedup`,
+//! `--min-prune`) fired; 2 usage error.
+//!
 //! Shard-process flags (what `penny-herd` drives; see `DESIGN.md` §16):
 //!
 //! * `--workloads A,B` / `--schemes X,Y` restrict the `conformance`
-//!   matrix to the named workload abbreviations and scheme tokens
-//!   (`Baseline`, `IGpu`, `BoltGlobal`, `BoltAuto`, `Penny`). When
+//!   matrix to the named workload abbreviations and schemes
+//!   (`baseline`, `igpu`, `bolt-global`, `bolt-auto`, `penny`, or the
+//!   tokens `Baseline`, `IGpu`, `BoltGlobal`, `BoltAuto`, `Penny`). When
 //!   either is given, the global figure prewarm is skipped so shard
 //!   processes start fast.
 //! * `--report-json PATH` writes every conformance report of the run as
@@ -31,8 +39,9 @@
 //! * `--recording-store DIR` persists fault-free recordings
 //!   content-addressed under `DIR` (`penny_bench::recstore`); warm runs
 //!   skip the record phase entirely.
-//! * `--obs-jsonl PATH` appends every observability span (including the
-//!   `recording-store` and compile-cache counters) as JSON lines.
+//! * `--obs-jsonl PATH` writes every observability span (including the
+//!   `recording-store` and compile-cache counters) to PATH as
+//!   schema-checked JSON lines (`penny_bench::obs::write_jsonl`).
 //!
 //! `bench-json` runs the Figure 9 pipeline under a wall-clock timer and
 //! writes `BENCH_eval.json` (wall-clock seconds, per-workload cycle and
@@ -76,14 +85,26 @@
 //! (`pruned-static` bucket in the report); validation replays them
 //! anyway and hard-errors on contradictions.
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
+use penny_bench::cli::{self, Prog};
 use penny_bench::conformance::{Shard, Sweep};
 use penny_bench::{conformance, figures, recstore, report, SchemeId, StaticMode};
 use penny_obs::MemRecorder;
 use penny_sim::GpuConfig;
 use penny_workloads::Workload;
+
+const PROG: Prog = Prog("penny-eval");
+
+/// The figure targets, in the order `all` (or no target) runs them.
+const FIGURE_TARGETS: &str =
+    "table1 table2 table3 fig9 fig10 fig11 fig12 fig13 fig14 fig15 multibit ablation errorrate";
+
+/// The targets `all` leaves out.
+const CAMPAIGN_TARGETS: &str =
+    "bench-json conformance conformance-exhaustive campaign vulnerability static-agreement";
 
 fn main() {
     let mut jobs: usize = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -97,57 +118,40 @@ fn main() {
     let mut workloads: Option<Vec<Workload>> = None;
     let mut schemes: Option<Vec<SchemeId>> = None;
     let mut report_json: Option<String> = None;
+    let mut recording_store: Option<String> = None;
     let mut obs_jsonl: Option<String> = None;
     let mut targets: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut flag = |name: &str| -> Option<String> {
-            if a == name {
-                Some(args.next().unwrap_or_else(|| die(&format!("{name} needs a value"))))
-            } else {
-                a.strip_prefix(&format!("{name}=")).map(str::to_string)
+    let mut args = PROG.args();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--jobs" => jobs = args.parse(cli::positive),
+            "--shard" => shard = args.parse(Shard::parse),
+            "--budget" => budget = args.parse(cli::positive),
+            "--runs" => runs = args.parse(cli::positive),
+            "--min-speedup" => min_speedup = Some(args.parse(cli::finite)),
+            "--min-prune" => min_prune = Some(args.parse(cli::finite)),
+            "--workloads" => workloads = Some(args.parse(cli::workloads)),
+            "--schemes" => schemes = Some(args.parse(cli::schemes)),
+            "--report-json" => report_json = Some(args.value()),
+            "--recording-store" => recording_store = Some(args.value()),
+            "--obs-jsonl" => obs_jsonl = Some(args.value()),
+            "--bench-json" => bench_json_out = true,
+            "--static-prune" => static_mode = StaticMode::Prune,
+            "--static-validate" => static_mode = StaticMode::Validate,
+            _ => {
+                let target = args.positional();
+                let mut known =
+                    FIGURE_TARGETS.split(' ').chain(CAMPAIGN_TARGETS.split(' '));
+                if target != "all" && !known.any(|t| t == target) {
+                    PROG.die(format!("unknown target `{target}` (try `all`)"));
+                }
+                targets.push(target);
             }
-        };
-        if let Some(v) = flag("--jobs") {
-            jobs = v.parse().unwrap_or_else(|_| die("--jobs needs a positive integer"));
-        } else if let Some(v) = flag("--shard") {
-            shard = Shard::parse(&v).unwrap_or_else(|e| die(&e.to_string()));
-        } else if let Some(v) = flag("--budget") {
-            budget = v.parse().unwrap_or_else(|_| die("--budget needs a positive integer"));
-        } else if let Some(v) = flag("--runs") {
-            runs = v.parse().unwrap_or_else(|_| die("--runs needs a positive integer"));
-        } else if let Some(v) = flag("--min-speedup") {
-            min_speedup =
-                Some(v.parse().unwrap_or_else(|_| die("--min-speedup needs a number")));
-        } else if let Some(v) = flag("--min-prune") {
-            min_prune =
-                Some(v.parse().unwrap_or_else(|_| die("--min-prune needs a number")));
-        } else if let Some(v) = flag("--workloads") {
-            workloads = Some(penny_bench::parse_workloads(&v).unwrap_or_else(|e| die(&e)));
-        } else if let Some(v) = flag("--schemes") {
-            schemes = Some(penny_bench::parse_schemes(&v).unwrap_or_else(|e| die(&e)));
-        } else if let Some(v) = flag("--report-json") {
-            report_json = Some(v);
-        } else if let Some(v) = flag("--recording-store") {
-            recstore::set_recording_store(std::path::Path::new(&v))
-                .unwrap_or_else(|e| die(&format!("--recording-store {v}: {e}")));
-        } else if let Some(v) = flag("--obs-jsonl") {
-            obs_jsonl = Some(v);
-        } else if a == "--bench-json" {
-            bench_json_out = true;
-        } else if a == "--static-prune" {
-            static_mode = StaticMode::Prune;
-        } else if a == "--static-validate" {
-            static_mode = StaticMode::Validate;
-        } else {
-            targets.push(a);
         }
     }
-    if jobs == 0 {
-        die("--jobs needs a positive integer");
-    }
-    if budget == 0 {
-        die("--budget needs a positive integer");
+    if let Some(dir) = &recording_store {
+        recstore::set_recording_store(Path::new(dir))
+            .unwrap_or_else(|e| PROG.die(format!("--recording-store {dir}: {e}")));
     }
     penny_bench::set_jobs(jobs);
     let recorder = obs_jsonl.as_ref().map(|_| {
@@ -170,21 +174,7 @@ fn main() {
     );
 
     let targets: Vec<&str> = if targets.is_empty() || targets.iter().any(|a| a == "all") {
-        vec![
-            "table1",
-            "table2",
-            "table3",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig15",
-            "multibit",
-            "ablation",
-            "errorrate",
-        ]
+        FIGURE_TARGETS.split(' ').collect()
     } else {
         targets.iter().map(String::as_str).collect()
     };
@@ -235,7 +225,7 @@ fn main() {
             "campaign" => campaign_cmd(runs, shard),
             "vulnerability" => vulnerability_cmd(min_prune),
             "static-agreement" => static_agreement(budget),
-            other => die(&format!("unknown target `{other}` (try `all`)")),
+            other => unreachable!("target `{other}` passed the parse-time check"),
         }
     }
     if let (Some(path), Some(rec)) = (&obs_jsonl, &recorder) {
@@ -244,12 +234,8 @@ fn main() {
         // totals alongside the per-site spans.
         penny_bench::cache::record_cache_spans(rec.as_ref());
         recstore::record_store_span(rec.as_ref());
-        let mut out = String::new();
-        for span in rec.take() {
-            out.push_str(&span.to_jsonl());
-            out.push('\n');
-        }
-        std::fs::write(path, out).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
+        penny_bench::obs::write_jsonl(Path::new(path), &rec.take())
+            .unwrap_or_else(|e| PROG.die(e));
     }
     if conformance_failed {
         std::process::exit(1);
@@ -265,7 +251,7 @@ const DEEP_SWEEP_SCHEMES: [SchemeId; 4] =
 
 /// The registry workloads behind a built-in abbreviation list.
 fn registry(abbrs: &[&str]) -> Vec<Workload> {
-    penny_bench::parse_workloads(&abbrs.join(",")).unwrap_or_else(|e| die(&e))
+    cli::workloads(&abbrs.join(",")).expect("built-in lists name registry workloads")
 }
 
 /// One sweep per (workload, scheme) pair, workload-major.
@@ -341,7 +327,8 @@ fn conformance_cmd(a: &ConformanceArgs) -> bool {
     }
     if let Some(path) = a.report_json {
         let json = penny_bench::json::reports_to_json(&reports);
-        std::fs::write(path, json).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
+        std::fs::write(path, json)
+            .unwrap_or_else(|e| PROG.die(format!("writing {path}: {e}")));
     }
     if !failed && (a.bench_json_out || a.min_speedup.is_some()) {
         conformance_bench_json(a.budget, a.min_speedup, a.jobs);
@@ -402,7 +389,7 @@ fn conformance_bench_json(budget: u64, min_speedup: Option<f64>, jobs: usize) {
         Ok(()) => {
             eprintln!("conformance-bench: min speedup {worst:.1}x -> BENCH_eval.json")
         }
-        Err(e) => die(&format!("writing BENCH_eval.json: {e}")),
+        Err(e) => PROG.die(format!("writing BENCH_eval.json: {e}")),
     }
     if let Some(min) = min_speedup {
         if worst < min {
@@ -538,27 +525,15 @@ fn campaign_cmd(runs: u32, shard: Shard) {
 /// function of its content key, and in-flight dedup compiles each key
 /// at most once.
 fn prewarm() {
-    use penny_bench::SchemeId;
     let machine = GpuConfig::fermi().machine;
     let mut pairs = Vec::new();
-    for scheme in [
-        SchemeId::Baseline,
-        SchemeId::IGpu,
-        SchemeId::BoltGlobal,
-        SchemeId::BoltAuto,
-        SchemeId::Penny,
-    ] {
+    for scheme in SchemeId::ALL {
         for w in penny_workloads::all() {
             let cfg = scheme.config().with_launch(w.dims).with_machine(machine);
             pairs.push((w, cfg));
         }
     }
     let _ = penny_bench::cache::compile_batch(&pairs);
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("penny-eval: {msg}");
-    std::process::exit(2);
 }
 
 /// Pass-timing aggregation for `BENCH_eval.json`: compiles every
@@ -568,13 +543,13 @@ fn die(msg: &str) -> ! {
 fn pass_timings() -> Vec<(String, u64, u64)> {
     use std::collections::BTreeMap;
     let rec = penny_obs::MemRecorder::new();
-    let scheme = penny_bench::SchemeId::Penny;
+    let scheme = SchemeId::Penny;
     let machine = GpuConfig::fermi().machine;
     for w in penny_workloads::all() {
-        let kernel = w.kernel().unwrap_or_else(|e| die(&format!("{}: {e}", w.abbr)));
+        let kernel = w.kernel().unwrap_or_else(|e| PROG.die(format!("{}: {e}", w.abbr)));
         let cfg = scheme.config().with_launch(w.dims).with_machine(machine);
         penny_core::compile_observed(&kernel, &cfg, &rec)
-            .unwrap_or_else(|e| die(&format!("{}: {e}", w.abbr)));
+            .unwrap_or_else(|e| PROG.die(format!("{}: {e}", w.abbr)));
     }
     let mut agg: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     for s in rec.take() {
@@ -627,6 +602,6 @@ fn bench_json(jobs: usize) {
         Ok(()) => eprintln!(
             "bench-json: fig9 took {wall:.3}s with {jobs} jobs -> BENCH_eval.json"
         ),
-        Err(e) => die(&format!("writing BENCH_eval.json: {e}")),
+        Err(e) => PROG.die(format!("writing BENCH_eval.json: {e}")),
     }
 }

@@ -18,8 +18,9 @@
 //! ```
 //!
 //! * `--workloads` / `--schemes` — the campaign matrix (defaults:
-//!   `MT` under `Penny`). Scheme tokens: `Baseline`, `IGpu`,
-//!   `BoltGlobal`, `BoltAuto`, `Penny`.
+//!   `MT` under `Penny`). Schemes: `baseline`, `igpu`, `bolt-global`,
+//!   `bolt-auto`, `penny`, matched ignoring case, `-` and `_` (the
+//!   tokens `BoltGlobal` etc. work too).
 //! * `--budget` — samples per pair, split across the shards.
 //! * `--shards` — shard process count (default 4).
 //! * `--timeout` — per-attempt wall-clock limit (default 600 s).
@@ -35,14 +36,19 @@
 //! * `--eval PATH` — the shard binary (default: `penny-eval` next to
 //!   this executable). Tests point this at crash-injecting wrappers.
 //!
-//! Exit status: 0 clean; 1 site failures or a `--check-against`
-//! mismatch; 2 usage errors; 3 campaign completed but partial.
+//! A flag's value may follow as `--flag value` or `--flag=value`
+//! (`penny_bench::cli`). Exit status: 0 clean; 1 site failures or a
+//! `--check-against` mismatch; 2 usage errors; 3 campaign completed but
+//! partial.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
+use penny_bench::cli::{self, Prog};
 use penny_bench::herd::{CampaignSpec, CommandTemplate};
 use penny_bench::{conformance, SchemeId};
+
+const PROG: Prog = Prog("penny-herd");
 
 fn main() {
     let mut spec = CampaignSpec {
@@ -60,49 +66,25 @@ fn main() {
     };
     let mut template = CommandTemplate::penny_eval();
     let mut check_against: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut flag = |name: &str| -> Option<String> {
-            if a == name {
-                Some(args.next().unwrap_or_else(|| die(&format!("{name} needs a value"))))
-            } else {
-                a.strip_prefix(&format!("{name}=")).map(str::to_string)
+    let mut args = PROG.args();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--workloads" => {
+                let workloads = args.parse(cli::workloads);
+                spec.workloads = workloads.iter().map(|w| w.abbr.to_string()).collect();
             }
-        };
-        if let Some(v) = flag("--workloads") {
-            let workloads = penny_bench::parse_workloads(&v).unwrap_or_else(|e| die(&e));
-            spec.workloads = workloads.iter().map(|w| w.abbr.to_string()).collect();
-        } else if let Some(v) = flag("--schemes") {
-            spec.schemes = penny_bench::parse_schemes(&v).unwrap_or_else(|e| die(&e));
-        } else if let Some(v) = flag("--budget") {
-            spec.budget =
-                v.parse().unwrap_or_else(|_| die("--budget needs a positive integer"));
-        } else if let Some(v) = flag("--shards") {
-            spec.shards =
-                v.parse().unwrap_or_else(|_| die("--shards needs a positive integer"));
-        } else if let Some(v) = flag("--jobs") {
-            spec.jobs_per_shard =
-                v.parse().unwrap_or_else(|_| die("--jobs needs a positive integer"));
-        } else if let Some(v) = flag("--timeout") {
-            spec.timeout = Duration::from_secs(
-                v.parse().unwrap_or_else(|_| die("--timeout needs seconds")),
-            );
-        } else if let Some(v) = flag("--retries") {
-            spec.retries = v.parse().unwrap_or_else(|_| die("--retries needs an integer"));
-        } else if let Some(v) = flag("--backoff-ms") {
-            spec.backoff = Duration::from_millis(
-                v.parse().unwrap_or_else(|_| die("--backoff-ms needs milliseconds")),
-            );
-        } else if let Some(v) = flag("--out") {
-            spec.out_dir = PathBuf::from(v);
-        } else if let Some(v) = flag("--recording-store") {
-            spec.recording_store = Some(PathBuf::from(v));
-        } else if let Some(v) = flag("--check-against") {
-            check_against = Some(v);
-        } else if let Some(v) = flag("--eval") {
-            template.program = PathBuf::from(v);
-        } else {
-            die(&format!("unknown argument {a:?}"));
+            "--schemes" => spec.schemes = args.parse(cli::schemes),
+            "--budget" => spec.budget = args.parse(cli::positive),
+            "--shards" => spec.shards = args.parse(cli::positive),
+            "--jobs" => spec.jobs_per_shard = args.parse(cli::positive),
+            "--timeout" => spec.timeout = Duration::from_secs(args.parse(cli::uint)),
+            "--retries" => spec.retries = args.parse(cli::uint),
+            "--backoff-ms" => spec.backoff = Duration::from_millis(args.parse(cli::uint)),
+            "--out" => spec.out_dir = PathBuf::from(args.value()),
+            "--recording-store" => spec.recording_store = Some(args.value().into()),
+            "--check-against" => check_against = Some(args.value()),
+            "--eval" => template.program = PathBuf::from(args.value()),
+            _ => args.unknown(),
         }
     }
 
@@ -117,7 +99,7 @@ fn main() {
         spec.retries
     );
     let outcome = penny_bench::herd::run_campaign(&spec, &template)
-        .unwrap_or_else(|e| die(&format!("campaign failed: {e}")));
+        .unwrap_or_else(|e| PROG.die(format!("campaign failed: {e}")));
 
     let mut site_failures = false;
     let mut rendered = String::new();
@@ -147,9 +129,9 @@ fn main() {
 
     if let Some(path) = check_against {
         let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| die(&format!("reading {path}: {e}")));
+            .unwrap_or_else(|e| PROG.die(format!("reading {path}: {e}")));
         let reference = penny_bench::json::reports_from_json(&text)
-            .unwrap_or_else(|e| die(&format!("parsing {path}: {e}")));
+            .unwrap_or_else(|e| PROG.die(format!("parsing {path}: {e}")));
         let expected: String = reference.iter().map(conformance::render_report).collect();
         if outcome.partial {
             eprintln!("penny-herd: check-against skipped — campaign is partial");
@@ -168,9 +150,4 @@ fn main() {
         eprintln!("penny-herd: campaign is PARTIAL (see missing shards above)");
         std::process::exit(3);
     }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("penny-herd: {msg}");
-    std::process::exit(2);
 }

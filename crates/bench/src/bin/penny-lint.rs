@@ -17,18 +17,22 @@
 //! diagnostic by name. Workloads lint under their declared launch
 //! geometry; file targets default to conservative (inexact) geometry,
 //! which disables the shared-race prover — pass `--launch` to lint a
-//! file under the exact dimensions it will run with. Exit status: 0
-//! clean, 1 diagnostics reported (errors always; warnings only under
-//! `--deny-warnings`), 2 usage error.
+//! file under the exact dimensions it will run with. A flag's value may
+//! follow as `--flag value` or `--flag=value` (`penny_bench::cli`). Exit
+//! status: 0 clean, 1 diagnostics reported (errors always; warnings only
+//! under `--deny-warnings`), 2 usage error or an unreadable target.
 //!
 //! `--refinement-table` additionally prints the before/after effect of
 //! the range-refined alias analysis on every workload's region and
 //! checkpoint counts (see `penny_bench::refinement`).
 
 use penny_analysis::{lint_kernel, Diagnostic, LintOptions, Severity};
+use penny_bench::cli::{self, Prog};
 use penny_core::LaunchDims;
 use penny_ir::Kernel;
 use penny_obs::json::escape;
+
+const PROG: Prog = Prog("penny-lint");
 
 struct Target {
     label: String,
@@ -45,58 +49,45 @@ fn main() {
     let mut names: Vec<String> = Vec::new();
     let mut launch: Option<LaunchDims> = None;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
+    let mut args = PROG.args();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--all-workloads" => all_workloads = true,
             "--deny-warnings" => deny_warnings = true,
             "--json" => json = true,
             "--refinement-table" => refinement_table = true,
-            "--allow" => {
-                let n = args.next().unwrap_or_else(|| die("--allow needs a name"));
-                allow.push(n);
-            }
-            other if other.starts_with("--allow=") => {
-                allow.push(other["--allow=".len()..].to_string());
-            }
-            "--launch" => {
-                let v = args.next().unwrap_or_else(|| die("--launch needs dimensions"));
-                launch = Some(parse_launch(&v));
-            }
-            other if other.starts_with("--launch=") => {
-                launch = Some(parse_launch(&other["--launch=".len()..]));
-            }
-            other if other.starts_with('-') => {
-                die(&format!("unknown flag `{other}`"));
-            }
-            other => names.push(other.to_string()),
+            "--allow" => allow.push(args.value()),
+            "--launch" => launch = Some(args.parse(parse_launch)),
+            _ => names.push(args.positional()),
         }
     }
     if !all_workloads && names.is_empty() && !refinement_table {
-        die("nothing to lint (try --all-workloads)");
+        PROG.die("nothing to lint (try --all-workloads)");
     }
 
     let mut targets: Vec<Target> = Vec::new();
     if all_workloads {
         for w in penny_workloads::all_with_corpus() {
-            let kernel =
-                w.kernel().unwrap_or_else(|e| die(&format!("workload {}: {e}", w.abbr)));
+            let kernel = w
+                .kernel()
+                .unwrap_or_else(|e| PROG.die(format!("workload {}: {e}", w.abbr)));
             targets.push(Target { label: w.abbr.to_string(), kernel, dims: Some(w.dims) });
         }
     }
     for name in &names {
         if let Some(w) = penny_workloads::by_abbr(name) {
-            let kernel =
-                w.kernel().unwrap_or_else(|e| die(&format!("workload {}: {e}", w.abbr)));
+            let kernel = w
+                .kernel()
+                .unwrap_or_else(|e| PROG.die(format!("workload {}: {e}", w.abbr)));
             targets.push(Target { label: w.abbr.to_string(), kernel, dims: Some(w.dims) });
         } else {
             let src = std::fs::read_to_string(name).unwrap_or_else(|e| {
-                die(&format!(
+                PROG.die(format!(
                     "`{name}` is neither a workload abbreviation nor a readable file: {e}"
                 ))
             });
             let kernel = penny_ir::parse_kernel(&src)
-                .unwrap_or_else(|e| die(&format!("{name}: parse error: {e}")));
+                .unwrap_or_else(|e| PROG.die(format!("{name}: parse error: {e}")));
             targets.push(Target { label: name.clone(), kernel, dims: launch });
         }
     }
@@ -138,24 +129,17 @@ fn main() {
     }
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("penny-lint: {msg}");
-    std::process::exit(2);
-}
-
 /// `BX[,BY[,GX[,GY]]]` — omitted dimensions default to 1.
-fn parse_launch(s: &str) -> LaunchDims {
-    let mut dims = [1u32; 4];
+fn parse_launch(s: &str) -> Result<LaunchDims, String> {
     let parts: Vec<&str> = s.split(',').collect();
-    if parts.is_empty() || parts.len() > 4 {
-        die(&format!("bad --launch `{s}` (want BX[,BY[,GX[,GY]]])"));
+    if parts.len() > 4 {
+        return Err(format!("bad launch `{s}` (want BX[,BY[,GX[,GY]]])"));
     }
+    let mut dims = [1u32; 4];
     for (slot, p) in dims.iter_mut().zip(&parts) {
-        *slot = p
-            .parse()
-            .unwrap_or_else(|_| die(&format!("bad --launch dimension `{p}` in `{s}`")));
+        *slot = cli::uint(p).map_err(|e| format!("dimension in `{s}`: {e}"))?;
     }
-    LaunchDims { block: (dims[0], dims[1]), grid: (dims[2], dims[3]) }
+    Ok(LaunchDims { block: (dims[0], dims[1]), grid: (dims[2], dims[3]) })
 }
 
 /// One diagnostic as a JSON object.

@@ -17,7 +17,8 @@
 //!   kernels under `corpus/` (opt-in: the evaluation share gates are
 //!   calibrated to the paper's 25 workloads);
 //! * `--scheme NAME` — compiler/RF scheme: `baseline`, `igpu`,
-//!   `bolt-global`, `bolt-auto`, or `penny` (default);
+//!   `bolt-global`, `bolt-auto`, or `penny` (default), matched ignoring
+//!   case, `-` and `_` (`BoltGlobal` works too);
 //! * `--jobs N` — fan the profiles across N harness workers
 //!   (default 1: serial profiling gives the least noisy timings);
 //! * `--json` — emit spans as JSONL on stdout (the default output);
@@ -37,6 +38,11 @@
 //!   total pass time exceeds `PCT` percent (CI guardrail; see
 //!   `scripts/verify.sh`).
 //!
+//! A flag's value may follow as `--flag value` or `--flag=value`
+//! (`penny_bench::cli`). Exit status: 0 ok; 1 a `--check` schema
+//! violation or an `--assert-share` limit exceeded; 2 usage error, or a
+//! profiled run that fails.
+//!
 //! Compiles go through the content-addressed harness cache
 //! (`penny_bench::cache`) with this invocation's recorder, so each
 //! profile observes the one real (cache-miss) pipeline execution of its
@@ -46,28 +52,13 @@
 
 use std::collections::BTreeMap;
 
+use penny_bench::cli::{self, Prog};
 use penny_bench::SchemeId;
 use penny_obs::{MemRecorder, Span, SpanKind};
 use penny_sim::{Gpu, GpuConfig};
 use penny_workloads::Workload;
 
-fn die(msg: &str) -> ! {
-    eprintln!("penny-prof: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_scheme(name: &str) -> SchemeId {
-    match name.to_lowercase().as_str() {
-        "baseline" => SchemeId::Baseline,
-        "igpu" => SchemeId::IGpu,
-        "bolt-global" | "bolt_global" => SchemeId::BoltGlobal,
-        "bolt-auto" | "bolt_auto" => SchemeId::BoltAuto,
-        "penny" => SchemeId::Penny,
-        other => die(&format!(
-            "unknown scheme `{other}` (baseline|igpu|bolt-global|bolt-auto|penny)"
-        )),
-    }
-}
+const PROG: Prog = Prog("penny-prof");
 
 /// Spans collected for one workload.
 struct Profiled {
@@ -92,9 +83,9 @@ fn profile(w: &Workload, scheme: SchemeId, vulnerability: bool) -> Profiled {
     let mut gpu = Gpu::new(gpu_config);
     let launch = w.prepare(gpu.global_mut());
     gpu.run_observed(&protected, &launch, &rec)
-        .unwrap_or_else(|e| die(&format!("{}: run: {e}", w.abbr)));
+        .unwrap_or_else(|e| PROG.die(format!("{}: run: {e}", w.abbr)));
     if !w.check(gpu.global()) {
-        die(&format!("{}: wrong output under {scheme:?}", w.abbr));
+        PROG.die(format!("{}: wrong output under {scheme:?}", w.abbr));
     }
     Profiled { abbr: w.abbr, spans: rec.take() }
 }
@@ -248,7 +239,7 @@ fn sim_summary(profiles: &[Profiled]) -> String {
 }
 
 fn main() {
-    let mut abbrs: Vec<String> = Vec::new();
+    let mut picked: Vec<Workload> = Vec::new();
     let mut all = false;
     let mut corpus = false;
     let mut scheme = SchemeId::Penny;
@@ -260,65 +251,21 @@ fn main() {
     let mut conformance_budget: Option<u64> = None;
     let mut assert_share: Option<(String, f64)> = None;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--workload" => {
-                abbrs.push(args.next().unwrap_or_else(|| die("--workload needs an ABBR")))
-            }
+    let mut args = PROG.args();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--workload" => picked.push(args.parse(cli::workload)),
             "--all-workloads" => all = true,
             "--corpus" => corpus = true,
-            "--scheme" => {
-                scheme = parse_scheme(
-                    &args.next().unwrap_or_else(|| die("--scheme needs a NAME")),
-                )
-            }
-            "--jobs" => {
-                jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("--jobs needs a positive integer"))
-            }
-            "--assert-share" => {
-                assert_share = Some(parse_assert_share(
-                    &args.next().unwrap_or_else(|| die("--assert-share needs PASS:PCT")),
-                ))
-            }
-            "--conformance" => {
-                conformance_budget = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| die("--conformance needs a positive budget")),
-                )
-            }
+            "--scheme" => scheme = args.parse(cli::scheme),
+            "--jobs" => jobs = args.parse(cli::positive),
+            "--assert-share" => assert_share = Some(args.parse(parse_assert_share)),
+            "--conformance" => conformance_budget = Some(args.parse(cli::positive)),
             "--json" => json = true,
             "--summary" => summary = true,
             "--check" => check = true,
             "--vulnerability" => vulnerability = true,
-            other => {
-                if let Some(v) = other.strip_prefix("--workload=") {
-                    abbrs.push(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--scheme=") {
-                    scheme = parse_scheme(v);
-                } else if let Some(v) = other.strip_prefix("--jobs=") {
-                    jobs = v
-                        .parse()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| die("--jobs needs a positive integer"));
-                } else if let Some(v) = other.strip_prefix("--assert-share=") {
-                    assert_share = Some(parse_assert_share(v));
-                } else if let Some(v) = other.strip_prefix("--conformance=") {
-                    conformance_budget =
-                        Some(v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                            die("--conformance needs a positive budget")
-                        }));
-                } else {
-                    die(&format!("unknown argument `{other}`"));
-                }
-            }
+            _ => args.unknown(),
         }
     }
     if !json && !summary {
@@ -326,20 +273,14 @@ fn main() {
     }
 
     let mut workloads: Vec<Workload> = if all {
-        if !abbrs.is_empty() {
-            die("--all-workloads conflicts with --workload");
+        if !picked.is_empty() {
+            PROG.die("--all-workloads conflicts with --workload");
         }
         penny_workloads::all()
-    } else if abbrs.is_empty() && !corpus {
-        die("nothing to profile: pass --workload ABBR, --all-workloads, or --corpus")
+    } else if picked.is_empty() && !corpus {
+        PROG.die("nothing to profile: pass --workload ABBR, --all-workloads, or --corpus")
     } else {
-        abbrs
-            .iter()
-            .map(|a| {
-                penny_workloads::by_abbr(a)
-                    .unwrap_or_else(|| die(&format!("unknown workload `{a}`")))
-            })
-            .collect()
+        picked
     };
     // Banked fuzz kernels are opt-in: the evaluation pass-share gates
     // are calibrated to the paper's 25 workloads.
@@ -367,7 +308,7 @@ fn main() {
             let report = penny_bench::Sweep::new(w.clone(), scheme, budget).run();
             penny_bench::obs::clear_recorder();
             if !report.failures.is_empty() {
-                die(&format!(
+                PROG.die(format!(
                     "{}: {} conformance sites failed to recover under {scheme:?}",
                     w.abbr,
                     report.covered - report.recovered
@@ -431,20 +372,16 @@ fn main() {
             Some(share) => {
                 eprintln!("penny-prof: pass `{pass}` share {share:.1}% <= {limit:.1}%")
             }
-            None => die(&format!("--assert-share: no spans for pass `{pass}`")),
+            None => PROG.die(format!("--assert-share: no spans for pass `{pass}`")),
         }
     }
 }
 
 /// Parses `PASS:PCT` (e.g. `overwrite-prevention:35`).
-fn parse_assert_share(v: &str) -> (String, f64) {
-    let Some((pass, pct)) = v.rsplit_once(':') else {
-        die("--assert-share needs PASS:PCT");
-    };
-    let limit: f64 = pct
-        .parse()
-        .ok()
-        .filter(|p: &f64| p.is_finite() && *p >= 0.0)
-        .unwrap_or_else(|| die("--assert-share: PCT must be a non-negative number"));
-    (pass.to_string(), limit)
+fn parse_assert_share(v: &str) -> Result<(String, f64), String> {
+    let (pass, pct) = v.rsplit_once(':').ok_or("expected PASS:PCT")?;
+    match cli::finite(pct) {
+        Ok(limit) if limit >= 0.0 => Ok((pass.to_string(), limit)),
+        _ => Err(format!("PCT must be a non-negative number, got {pct:?}")),
+    }
 }

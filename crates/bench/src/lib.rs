@@ -19,6 +19,7 @@
 pub mod ablation;
 pub mod cache;
 pub mod campaign;
+pub mod cli;
 pub mod conformance;
 pub mod figures;
 pub mod herd;
@@ -40,7 +41,5 @@ pub use conformance::{
 pub use figures::{Figure, PruneBreakdown, Series};
 pub use parallel::{jobs, parallel_map, set_jobs};
 pub use refinement::{refinement_comparison, render_refinement, RefinementRow};
-pub use runner::{
-    gmean, parse_schemes, parse_workloads, run_scheme, run_workload, Measured, SchemeId,
-};
+pub use runner::{gmean, run_scheme, run_workload, Measured, SchemeId};
 pub use vulnerability::{render_profile, static_profile, RegProfile, StaticProfile};

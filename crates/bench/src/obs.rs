@@ -13,9 +13,10 @@
 //! (see `tests/obs_neutrality.rs`): the sink is process-wide and the
 //! test harness runs in parallel.
 
+use std::path::Path;
 use std::sync::{Arc, OnceLock, RwLock};
 
-use penny_obs::{NullRecorder, Recorder};
+use penny_obs::{NullRecorder, Recorder, Span};
 
 /// The sink's shareable recorder type.
 pub type SharedRecorder = Arc<dyn Recorder + Send + Sync>;
@@ -44,6 +45,26 @@ pub fn clear_recorder() {
 /// is installed).
 pub fn recorder() -> SharedRecorder {
     sink().read().unwrap().clone().unwrap_or_else(null)
+}
+
+/// Writes `spans` to `path` as JSON lines, each checked against the
+/// span schema (`penny_obs::schema`) before anything is written. This
+/// is the one span dump of the binaries (`penny-eval --obs-jsonl`,
+/// `penny-fuzz --obs`).
+///
+/// # Errors
+///
+/// The first span that fails the schema check, or the write error.
+pub fn write_jsonl(path: &Path, spans: &[Span]) -> Result<(), String> {
+    let mut out = String::new();
+    for span in spans {
+        let line = span.to_jsonl();
+        penny_obs::schema::validate_line(&line)
+            .map_err(|e| format!("obs span failed schema check: {e}"))?;
+        out.push_str(&line);
+        out.push('\n');
+    }
+    std::fs::write(path, out).map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
 #[cfg(test)]

@@ -30,11 +30,14 @@ impl SchemeId {
         SchemeId::Penny,
     ];
 
-    /// Parses a CLI token (the variant name, e.g. `BoltGlobal`) back
-    /// into a scheme. Tokens are distinct from the slash-y display
-    /// names so they survive shells and comma-separated flags.
+    /// Parses a scheme name as every CLI spells it: the
+    /// [`SchemeId::token`] (e.g. `BoltGlobal`), matched ignoring ASCII
+    /// case, `-` and `_`, so `bolt-global` and `bolt_global` work too.
+    /// Tokens are distinct from the slash-y display names so they
+    /// survive shells and comma-separated flags.
     pub fn from_token(s: &str) -> Option<SchemeId> {
-        Self::ALL.iter().copied().find(|v| v.token() == s)
+        let key = |t: &str| t.replace(['-', '_'], "").to_ascii_lowercase();
+        Self::ALL.iter().copied().find(|v| key(v.token()) == key(s))
     }
 
     /// The CLI token accepted by [`SchemeId::from_token`].
@@ -124,42 +127,6 @@ pub fn run_scheme(w: &Workload, scheme: SchemeId, base: &GpuConfig) -> Measured 
     run_workload(w, &scheme.config(), &gpu_config)
 }
 
-/// Parses a `--workloads` list: comma-separated registry abbreviations,
-/// trimmed, empty items ignored.
-///
-/// # Errors
-///
-/// Names the first abbreviation no registry workload has.
-pub fn parse_workloads(list: &str) -> Result<Vec<Workload>, String> {
-    list_items(list)
-        .map(|abbr| {
-            penny_workloads::by_abbr(abbr)
-                .ok_or_else(|| format!("--workloads: unknown workload {abbr:?}"))
-        })
-        .collect()
-}
-
-/// Parses a `--schemes` list: comma-separated [`SchemeId::token`]s,
-/// trimmed, empty items ignored.
-///
-/// # Errors
-///
-/// Names the first unknown token and lists the valid ones.
-pub fn parse_schemes(list: &str) -> Result<Vec<SchemeId>, String> {
-    list_items(list)
-        .map(|tok| {
-            SchemeId::from_token(tok).ok_or_else(|| {
-                let tokens: Vec<&str> = SchemeId::ALL.iter().map(|s| s.token()).collect();
-                format!("--schemes: unknown scheme {tok:?} (tokens: {})", tokens.join(", "))
-            })
-        })
-        .collect()
-}
-
-fn list_items(list: &str) -> impl Iterator<Item = &str> {
-    list.split(',').map(str::trim).filter(|s| !s.is_empty())
-}
-
 /// Geometric mean.
 pub fn gmean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -185,25 +152,6 @@ mod tests {
         assert!(matches!(SchemeId::IGpu.rf(), RfProtection::Ecc(_)));
         assert!(matches!(SchemeId::Penny.rf(), RfProtection::Edc(Scheme::Parity)));
         assert!(matches!(SchemeId::Baseline.rf(), RfProtection::None));
-    }
-
-    #[test]
-    fn list_flags_parse_and_name_unknown_items() {
-        let ws = parse_workloads(" MT,,BS ").expect("known workloads");
-        assert_eq!(ws.iter().map(|w| w.abbr).collect::<Vec<_>>(), ["MT", "BS"]);
-        assert_eq!(
-            parse_workloads("MT,NOPE").unwrap_err(),
-            "--workloads: unknown workload \"NOPE\""
-        );
-        assert_eq!(
-            parse_schemes("Penny, IGpu").unwrap(),
-            [SchemeId::Penny, SchemeId::IGpu]
-        );
-        assert_eq!(
-            parse_schemes("Bolt").unwrap_err(),
-            "--schemes: unknown scheme \"Bolt\" (tokens: Baseline, IGpu, BoltGlobal, \
-             BoltAuto, Penny)"
-        );
     }
 
     #[test]

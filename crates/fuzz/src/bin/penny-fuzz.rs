@@ -29,132 +29,79 @@
 //!   whole gauntlet passes, then bank the first COUNT of them;
 //! * `--mint-spec SPEC` — gauntlet-verify and bank one hand-picked
 //!   spec (e.g. `sparse;ops=6,3;nnz=5;topo=0x2a`);
-//! * `--obs FILE` — install the observability recorder and append the
+//! * `--obs FILE` — install the observability recorder and write the
 //!   run's spans (one `campaign` span per gauntlet iteration, plus the
-//!   conformance engine's spans) to FILE as schema-checked JSONL.
+//!   conformance engine's spans) to FILE as schema-checked JSONL
+//!   (`penny_bench::obs::write_jsonl`).
 //!
 //! The fuzz report goes to stdout and contains no timings: two runs
 //! with identical arguments produce byte-identical output.
+//!
+//! A flag's value may follow as `--flag value` or `--flag=value`
+//! (`penny_bench::cli`). Exit status: 0 ok; 1 a divergence or a corpus
+//! replay failure; 2 usage error, or a `--mint-*` spec that cannot be
+//! banked.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use penny_bench::cli::{self, Prog};
 use penny_fuzz::{run_fuzz, run_gauntlet, FuzzConfig};
 use penny_obs::MemRecorder;
 use penny_sim::gen::{Family, KernelSpec};
 
-fn die(msg: &str) -> ! {
-    eprintln!("penny-fuzz: {msg}");
-    std::process::exit(2);
-}
-
-struct Args {
-    seed: u64,
-    iters: u64,
-    conformance_budget: Option<u64>,
-    jobs: usize,
-    bank: Option<PathBuf>,
-    replay: Option<PathBuf>,
-    mint_sparse: Option<u64>,
-    mint_spec: Option<String>,
-    from_seed: u64,
-    obs: Option<PathBuf>,
-}
-
-fn parse_args() -> Args {
-    let mut a = Args {
-        seed: 1,
-        iters: 0,
-        conformance_budget: None,
-        jobs: 1,
-        bank: None,
-        replay: None,
-        mint_sparse: None,
-        mint_spec: None,
-        from_seed: 1,
-        obs: None,
-    };
-    let mut args = std::env::args().skip(1);
-    let next_u64 = |args: &mut dyn Iterator<Item = String>, flag: &str| -> u64 {
-        args.next()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| die(&format!("{flag} needs an unsigned integer")))
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => a.seed = next_u64(&mut args, "--seed"),
-            "--iters" => a.iters = next_u64(&mut args, "--iters"),
-            "--conformance-budget" => {
-                a.conformance_budget = Some(next_u64(&mut args, "--conformance-budget"))
-            }
-            "--jobs" => {
-                a.jobs = next_u64(&mut args, "--jobs") as usize;
-                if a.jobs == 0 {
-                    die("--jobs needs a positive integer");
-                }
-            }
-            "--bank" => {
-                a.bank =
-                    Some(args.next().unwrap_or_else(|| die("--bank needs a DIR")).into())
-            }
-            "--replay" => {
-                a.replay =
-                    Some(args.next().unwrap_or_else(|| die("--replay needs a DIR")).into())
-            }
-            "--mint-sparse" => a.mint_sparse = Some(next_u64(&mut args, "--mint-sparse")),
-            "--mint-spec" => {
-                a.mint_spec =
-                    Some(args.next().unwrap_or_else(|| die("--mint-spec needs a SPEC")))
-            }
-            "--from-seed" => a.from_seed = next_u64(&mut args, "--from-seed"),
-            "--obs" => {
-                a.obs =
-                    Some(args.next().unwrap_or_else(|| die("--obs needs a FILE")).into())
-            }
-            other => die(&format!("unknown argument `{other}`")),
-        }
-    }
-    a
-}
-
-/// Flushes the in-memory recorder to `path` as schema-checked JSONL.
-fn dump_obs(rec: &MemRecorder, path: &PathBuf) {
-    let mut out = String::new();
-    for span in rec.snapshot() {
-        let line = span.to_jsonl();
-        penny_obs::schema::validate_line(&line)
-            .unwrap_or_else(|e| die(&format!("obs span failed schema check: {e}")));
-        out.push_str(&line);
-        out.push('\n');
-    }
-    std::fs::write(path, out)
-        .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-}
+const PROG: Prog = Prog("penny-fuzz");
 
 fn main() -> ExitCode {
-    let a = parse_args();
-    penny_bench::set_jobs(a.jobs);
+    let mut seed: u64 = 1;
+    let mut iters: u64 = 0;
+    let mut conformance_budget: Option<u64> = None;
+    let mut jobs: usize = 1;
+    let mut bank: Option<PathBuf> = None;
+    let mut replay: Option<PathBuf> = None;
+    let mut mint_sparse: Option<u64> = None;
+    let mut mint_spec: Option<String> = None;
+    let mut from_seed: u64 = 1;
+    let mut obs: Option<PathBuf> = None;
+    let mut args = PROG.args();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--seed" => seed = args.parse(cli::uint),
+            "--iters" => iters = args.parse(cli::uint),
+            "--conformance-budget" => conformance_budget = Some(args.parse(cli::uint)),
+            "--jobs" => jobs = args.parse(cli::positive),
+            "--bank" => bank = Some(args.value().into()),
+            "--replay" => replay = Some(args.value().into()),
+            "--mint-sparse" => mint_sparse = Some(args.parse(cli::uint)),
+            "--mint-spec" => mint_spec = Some(args.value()),
+            "--from-seed" => from_seed = args.parse(cli::uint),
+            "--obs" => obs = Some(args.value().into()),
+            _ => args.unknown(),
+        }
+    }
+    penny_bench::set_jobs(jobs);
     // The gauntlet *expects* panics: overwrite-prevention rejections
     // surface as catch_unwind'd compile skips, and real divergent
     // panics are captured into the report with their payload text.
     // Keep stderr quiet instead of printing a backtrace per skip.
     std::panic::set_hook(Box::new(|_| {}));
 
-    let obs_rec = a.obs.as_ref().map(|_| Arc::new(MemRecorder::new()));
+    let obs_rec = obs.as_ref().map(|_| Arc::new(MemRecorder::new()));
     if let Some(rec) = &obs_rec {
         penny_bench::obs::set_recorder(rec.clone());
     }
     let finish_obs = |rec: &Option<Arc<MemRecorder>>| {
-        if let (Some(rec), Some(path)) = (rec, &a.obs) {
+        if let (Some(rec), Some(path)) = (rec, &obs) {
             penny_bench::obs::clear_recorder();
-            dump_obs(rec, path);
+            penny_bench::obs::write_jsonl(path, &rec.take())
+                .unwrap_or_else(|e| PROG.die(e));
         }
     };
 
     // Replay mode: re-verify a banked corpus directory.
-    if let Some(dir) = &a.replay {
-        let budget = a.conformance_budget.unwrap_or(2048);
+    if let Some(dir) = &replay {
+        let budget = conformance_budget.unwrap_or(2048);
         match penny_fuzz::replay_dir(dir, budget) {
             Ok(n) => {
                 println!("corpus replay: {n} entries verified ({})", dir.display());
@@ -173,39 +120,40 @@ fn main() -> ExitCode {
     }
 
     // Mint a single hand-picked spec.
-    if let Some(spec_line) = &a.mint_spec {
-        let dir = a.bank.clone().unwrap_or_else(|| die("--mint-spec needs --bank DIR"));
+    if let Some(spec_line) = &mint_spec {
+        let dir = bank.clone().unwrap_or_else(|| PROG.die("--mint-spec needs --bank DIR"));
         let spec = KernelSpec::parse(spec_line)
-            .unwrap_or_else(|| die(&format!("unparseable spec `{spec_line}`")));
+            .unwrap_or_else(|| PROG.die(format!("unparseable spec `{spec_line}`")));
         let cfg = FuzzConfig {
-            conformance_budget: a.conformance_budget.unwrap_or(2048),
+            conformance_budget: conformance_budget.unwrap_or(2048),
             ..FuzzConfig::new(0, 0)
         };
         let outcome = run_gauntlet(&spec, &cfg);
         if let Some((kind, scheme, detail)) = &outcome.failure {
-            die(&format!(
+            PROG.die(format!(
                 "spec fails the gauntlet [{}{}]: {detail}",
                 kind.tag(),
                 scheme.map(|s| format!(" under {s}")).unwrap_or_default()
             ));
         }
         if !outcome.all_schemes_compiled {
-            die("spec is skipped by at least one scheme; pick another");
+            PROG.die("spec is skipped by at least one scheme; pick another");
         }
-        let path = penny_fuzz::bank_spec(&spec, &dir).unwrap_or_else(|e| die(&e));
+        let path = penny_fuzz::bank_spec(&spec, &dir).unwrap_or_else(|e| PROG.die(e));
         println!("minted {} -> {}", spec.render(), path.display());
         finish_obs(&obs_rec);
         return ExitCode::SUCCESS;
     }
 
     // Mint mode: scan seeds for bankable sparse kernels.
-    if let Some(count) = a.mint_sparse {
-        let dir = a.bank.clone().unwrap_or_else(|| die("--mint-sparse needs --bank DIR"));
-        let budget = a.conformance_budget.unwrap_or(2048);
+    if let Some(count) = mint_sparse {
+        let dir =
+            bank.clone().unwrap_or_else(|| PROG.die("--mint-sparse needs --bank DIR"));
+        let budget = conformance_budget.unwrap_or(2048);
         let cfg =
-            FuzzConfig { conformance_budget: budget, ..FuzzConfig::new(a.from_seed, 0) };
+            FuzzConfig { conformance_budget: budget, ..FuzzConfig::new(from_seed, 0) };
         let mut minted = 0u64;
-        let mut seed = a.from_seed;
+        let mut seed = from_seed;
         while minted < count {
             let spec = KernelSpec::from_seed(seed);
             seed += 1;
@@ -216,7 +164,7 @@ fn main() -> ExitCode {
             if outcome.failure.is_some() || !outcome.all_schemes_compiled {
                 continue;
             }
-            let path = penny_fuzz::bank_spec(&spec, &dir).unwrap_or_else(|e| die(&e));
+            let path = penny_fuzz::bank_spec(&spec, &dir).unwrap_or_else(|e| PROG.die(e));
             println!("minted {} -> {}", spec.render(), path.display());
             minted += 1;
         }
@@ -225,16 +173,16 @@ fn main() -> ExitCode {
     }
 
     // Fuzz mode.
-    if a.iters == 0 {
-        die("nothing to do: pass --iters K, --replay DIR, or --mint-sparse COUNT");
+    if iters == 0 {
+        PROG.die("nothing to do: pass --iters K, --replay DIR, or --mint-sparse COUNT");
     }
-    let mut cfg = FuzzConfig::new(a.seed, a.iters);
-    if let Some(budget) = a.conformance_budget {
+    let mut cfg = FuzzConfig::new(seed, iters);
+    if let Some(budget) = conformance_budget {
         cfg.conformance_budget = budget;
     }
     let report = run_fuzz(&cfg);
     print!("{}", report.render());
-    if let Some(dir) = &a.bank {
+    if let Some(dir) = &bank {
         for d in &report.divergences {
             match penny_fuzz::bank_spec(&d.shrunk, dir) {
                 Ok(path) => println!("banked {} -> {}", d.shrunk.render(), path.display()),

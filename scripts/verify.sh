@@ -11,7 +11,12 @@
 #      traced driver (perfbench/tracer, its own workspace), so renaming
 #      a public item the benchmark imports fails here and not only in
 #      the benchmark;
-#   4. the root-package test suite (the tier-1 gate);
+#   4. the root-package test suite (the tier-1 gate, `penny`'s command
+#      line included), then the command-line suite of penny-eval,
+#      penny-prof, penny-herd and penny-lint: both flag spellings, exit
+#      2 naming the flag on a usage error, every scheme spelling
+#      (penny-fuzz's command-line suite runs with its crate's suites in
+#      step 9);
 #   5. the determinism/equivalence suites that pin every engine fast
 #      path — event-driven vs dense scheduling, --jobs fan-out, and the
 #      pre-decoded micro-op + register-file fast path vs the
@@ -50,7 +55,7 @@
 #      times are noisy) via penny-prof --assert-share;
 #   9. the fuzz gate: the penny-fuzz unit/integration suites (shrinker
 #      properties, generated-kernel resume determinism, corpus replay
-#      as a test), a fixed-seed smoke run that must find zero
+#      as a test, the penny-fuzz command line), a fixed-seed smoke run that must find zero
 #      divergences and produce byte-identical reports across two runs,
 #      and the banked-corpus replay gate (every committed kernel
 #      re-verified against its golden output).
@@ -82,6 +87,9 @@ cargo build --release --offline --manifest-path perfbench/tracer/Cargo.toml
 
 echo "==> tier-1: cargo test -q (root package)"
 cargo test -q
+
+echo "==> command lines: penny-eval, penny-prof, penny-herd, penny-lint"
+cargo test --release -p penny-bench --test cli
 
 echo "==> determinism: harness + engine fast paths"
 cargo test --release -p penny-bench --test determinism
@@ -173,7 +181,7 @@ if [[ "$share_ok" != 1 ]]; then
     exit 1
 fi
 
-echo "==> fuzz: unit + property + corpus-replay test suites"
+echo "==> fuzz: unit + property + corpus-replay + command-line test suites"
 cargo test -q -p penny-fuzz
 cargo test --release -p penny-sim --test resume_determinism
 

@@ -1,27 +1,38 @@
 //! `penny` — the command-line front end.
 //!
 //! ```text
-//! penny compile <file> [--scheme penny|bolt|bolt-global|igpu|none]
-//!                      [--grid N] [--block N] [--emit]
-//! penny run     <file> [same flags] [--param V]... [--dump ADDR LEN]
-//!                      [--inject BLOCK,WARP,LANE,REG,BIT,AFTER]...
+//! penny compile <file> [--scheme NAME] [--grid N] [--block N] [--emit]
+//! penny run     <file> [same flags] [--param V]... [--fill ADDR LEN SEED]...
+//!                      [--dump ADDR LEN]... [--inject BLOCK,WARP,LANE,REG,BIT,AFTER]...
 //! penny check   <file>                 # parse + verify only
 //! ```
 //!
 //! Kernels are in the PTX-like assembly (see `penny::ir::parser`). `run`
 //! zero-fills device memory; use `--fill ADDR LEN SEED` to place
 //! deterministic pseudo-random inputs, `--dump ADDR LEN` to print memory
-//! after the launch.
+//! after the launch. Numbers may be hex (`0x20000`).
+//!
+//! `--scheme` takes one of the five scheme names every binary shares
+//! (`baseline`, `igpu`, `bolt-global`, `bolt-auto`, `penny`; the
+//! default), matched ignoring case, `-` and `_` (`BoltGlobal` works
+//! too). A flag's value may follow as `--flag value` or `--flag=value`.
+//! Exit status: 0 ok, 1 the kernel failed to load, compile or run,
+//! 2 usage error.
 
 use std::process::ExitCode;
 
-use penny::compiler::{compile, LaunchDims, PennyConfig};
+use penny::compiler::{compile, LaunchDims};
 use penny::sim::{FaultPlan, Gpu, GpuConfig, Injection, LaunchConfig};
+use penny_bench::cli::{self, Prog};
+use penny_bench::SchemeId;
+
+const PROG: Prog = Prog("penny");
 
 struct Args {
     command: String,
     file: String,
-    scheme: String,
+    /// The scheme, and its `--scheme` spelling that `compile` echoes.
+    scheme: (SchemeId, String),
     grid: u32,
     block: u32,
     emit: bool,
@@ -31,13 +42,12 @@ struct Args {
     injections: Vec<Injection>,
 }
 
-fn usage() -> &'static str {
-    "usage: penny <compile|run|check> <file.ptx> \
-     [--scheme penny|bolt|bolt-global|igpu|none] [--grid N] [--block N] \
+const USAGE: &str = "usage: penny <compile|run|check> <file.ptx> \
+     [--scheme baseline|igpu|bolt-global|bolt-auto|penny] [--grid N] [--block N] \
      [--emit] [--param V]... [--fill ADDR LEN SEED]... [--dump ADDR LEN]... \
-     [--inject BLOCK,WARP,LANE,REG,BIT,AFTER]..."
-}
+     [--inject BLOCK,WARP,LANE,REG,BIT,AFTER]...";
 
+/// A decimal or `0x` hex `u32`.
 fn parse_u32(s: &str) -> Result<u32, String> {
     let s = s.trim();
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -47,14 +57,20 @@ fn parse_u32(s: &str) -> Result<u32, String> {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut it = std::env::args().skip(1);
-    let command = it.next().ok_or_else(|| usage().to_string())?;
-    let file = it.next().ok_or_else(|| usage().to_string())?;
-    let mut args = Args {
-        command,
-        file,
-        scheme: "penny".into(),
+/// `BLOCK,WARP,LANE,REG,BIT,AFTER`.
+fn parse_injection(spec: &str) -> Result<Injection, String> {
+    let parts: Vec<u32> = spec.split(',').map(parse_u32).collect::<Result<_, _>>()?;
+    let [block, warp, lane, reg, bit, after] = parts[..] else {
+        return Err(format!("wants 6 fields, got {}", parts.len()));
+    };
+    Ok(Injection { block, warp, lane, reg, bit, after_warp_insts: after.into() })
+}
+
+fn parse_args() -> Args {
+    let mut a = Args {
+        command: String::new(),
+        file: String::new(),
+        scheme: (SchemeId::Penny, "penny".into()),
         grid: 4,
         block: 32,
         emit: false,
@@ -63,62 +79,38 @@ fn parse_args() -> Result<Args, String> {
         dumps: Vec::new(),
         injections: Vec::new(),
     };
-    while let Some(flag) = it.next() {
-        let mut next = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+    let mut positional = Vec::new();
+    let mut args = PROG.args();
+    while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--scheme" => args.scheme = next()?,
-            "--grid" => args.grid = parse_u32(&next()?)?,
-            "--block" => args.block = parse_u32(&next()?)?,
-            "--emit" => args.emit = true,
-            "--param" => args.params.push(parse_u32(&next()?)?),
+            "--scheme" => {
+                a.scheme = args.parse(|v| cli::scheme(v).map(|id| (id, v.into())))
+            }
+            "--grid" => a.grid = args.parse(parse_u32),
+            "--block" => a.block = args.parse(parse_u32),
+            "--emit" => a.emit = true,
+            "--param" => a.params.push(args.parse(parse_u32)),
             "--fill" => {
-                let (a, l, s) =
-                    (parse_u32(&next()?)?, parse_u32(&next()?)?, parse_u32(&next()?)?);
-                args.fills.push((a, l, s));
+                let addr = args.parse(parse_u32);
+                a.fills.push((addr, args.parse(parse_u32), args.parse(parse_u32)));
             }
             "--dump" => {
-                let (a, l) = (parse_u32(&next()?)?, parse_u32(&next()?)?);
-                args.dumps.push((a, l));
+                let addr = args.parse(parse_u32);
+                a.dumps.push((addr, args.parse(parse_u32)));
             }
-            "--inject" => {
-                let spec = next()?;
-                let parts: Vec<u32> = spec
-                    .split(',')
-                    .map(parse_u32)
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("--inject {spec}: {e}"))?;
-                if parts.len() != 6 {
-                    return Err(format!("--inject wants 6 fields, got {}", parts.len()));
-                }
-                args.injections.push(Injection {
-                    block: parts[0],
-                    warp: parts[1],
-                    lane: parts[2],
-                    reg: parts[3],
-                    bit: parts[4],
-                    after_warp_insts: parts[5] as u64,
-                });
-            }
-            other => return Err(format!("unknown flag `{other}`\n{}", usage())),
+            "--inject" => a.injections.push(args.parse(parse_injection)),
+            _ => positional.push(args.positional()),
         }
     }
-    Ok(args)
-}
-
-fn config_for(scheme: &str, dims: LaunchDims) -> Result<PennyConfig, String> {
-    let cfg = match scheme {
-        "penny" => PennyConfig::penny(),
-        "bolt" => PennyConfig::bolt_auto(),
-        "bolt-global" => PennyConfig::bolt_global(),
-        "igpu" => PennyConfig::igpu(),
-        "none" => PennyConfig::unprotected(),
-        other => return Err(format!("unknown scheme `{other}`")),
-    };
-    Ok(cfg.with_launch(dims))
+    [a.command, a.file] = positional.try_into().unwrap_or_else(|_| PROG.die(USAGE));
+    if !["check", "compile", "run"].contains(&a.command.as_str()) {
+        PROG.die(format!("unknown command `{}`\n{USAGE}", a.command));
+    }
+    a
 }
 
 fn main() -> ExitCode {
-    match run() {
+    match run(&parse_args()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("penny: {e}");
@@ -127,8 +119,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
+fn run(args: &Args) -> Result<(), String> {
     let text =
         std::fs::read_to_string(&args.file).map_err(|e| format!("{}: {e}", args.file))?;
     let kernel =
@@ -148,10 +139,10 @@ fn run() -> Result<(), String> {
         }
         "compile" => {
             let dims = LaunchDims::linear(args.grid, args.block);
-            let cfg = config_for(&args.scheme, dims)?;
+            let cfg = args.scheme.0.config().with_launch(dims);
             let protected = compile(&kernel, &cfg).map_err(|e| e.to_string())?;
             let s = &protected.stats;
-            println!("scheme: {}", args.scheme);
+            println!("scheme: {}", args.scheme.1);
             println!("regions:            {}", s.regions);
             println!(
                 "checkpoints:        {} considered, {} committed",
@@ -176,7 +167,7 @@ fn run() -> Result<(), String> {
         }
         "run" => {
             let dims = LaunchDims::linear(args.grid, args.block);
-            let cfg = config_for(&args.scheme, dims)?;
+            let cfg = args.scheme.0.config().with_launch(dims);
             let protected = compile(&kernel, &cfg).map_err(|e| e.to_string())?;
             if args.params.len() != kernel.params.len() {
                 return Err(format!(
@@ -191,12 +182,7 @@ fn run() -> Result<(), String> {
                     args.params.len()
                 ));
             }
-            let gpu_config = match args.scheme.as_str() {
-                "none" => GpuConfig::fermi().with_rf(penny::sim::RfProtection::None),
-                "igpu" => GpuConfig::fermi()
-                    .with_rf(penny::sim::RfProtection::Ecc(penny::coding::Scheme::Secded)),
-                _ => GpuConfig::fermi(),
-            };
+            let gpu_config = GpuConfig::fermi().with_rf(args.scheme.0.rf());
             let mut gpu = Gpu::new(gpu_config);
             for &(addr, len, seed) in &args.fills {
                 let mut rng = penny::workloads::util::XorShift32::new(seed);
@@ -220,6 +206,6 @@ fn run() -> Result<(), String> {
             }
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+        _ => unreachable!("parse_args accepts only check, compile and run"),
     }
 }
